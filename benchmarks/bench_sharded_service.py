@@ -21,11 +21,6 @@ and measures **aggregate throughput scaling**.  Three serving regimes:
   host with >= 4 cores the 1 -> 4 shard scaling bar (>= 2x) is asserted;
   on smaller runners it is reported (there is nothing to scale onto).
 
-A **vectorized-decode attribution cell** additionally times the raw
-batched decode with ``use_vectorized_decode`` off vs on (no services,
-no workers) so the single-core vectorization win is attributed
-separately from the multiprocess win.
-
 Every regime measures **process CPU utilization** (self + reaped
 children CPU over the regime's wall-clock, via ``os.times``) — the
 number that shows whether a scaling figure was core-starved or truly
@@ -273,45 +268,6 @@ def run_sharded_bench(
     return table + "\n" + summary, metrics
 
 
-def run_vectorized_attribution(batch_size: int = 32, num_nodes: int = NUM_NODES):
-    """Raw batched decode: legacy unroll vs vectorized path (workers=0).
-
-    Attributes the single-core vectorization win separately from the
-    multiprocess win: same weights, same graphs, no services — just
-    ``schedule_batch`` with ``use_vectorized_decode`` off vs on, with
-    bit-identical schedules asserted.
-    """
-    from repro.rl.respect import RespectScheduler
-
-    graphs = _make_graphs(batch_size, num_nodes)
-    legacy = RespectScheduler(use_vectorized_decode=False)
-    vectorized = RespectScheduler(use_vectorized_decode=True)
-    # One warm-up pass each (BLAS thread pools, allocator) so the timed
-    # passes compare steady-state decodes.
-    legacy.schedule_batch(graphs[:4], NUM_STAGES)
-    vectorized.schedule_batch(graphs[:4], NUM_STAGES)
-    t0 = time.perf_counter()
-    legacy_results = legacy.schedule_batch(graphs, NUM_STAGES)
-    legacy_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    vector_results = vectorized.schedule_batch(graphs, NUM_STAGES)
-    vector_s = time.perf_counter() - t0
-    _assert_identical(legacy_results, vector_results)
-    speedup = legacy_s / vector_s if vector_s > 0 else 0.0
-    text = (
-        f"Vectorized decode attribution (workers=0, batch={batch_size}, "
-        f"|V|={num_nodes}): legacy {legacy_s * 1e3:.1f} ms, vectorized "
-        f"{vector_s * 1e3:.1f} ms ({speedup:.2f}x), schedules bit-identical"
-    )
-    metrics = {
-        "vectorized_batch_size": batch_size,
-        "vectorized_legacy_s": legacy_s,
-        "vectorized_vectorized_s": vector_s,
-        "vectorized_speedup": speedup,
-    }
-    return text, metrics
-
-
 def host_info() -> dict:
     """Host context for the JSON artifact (scaling needs cores)."""
     return {
@@ -373,14 +329,11 @@ def run_full(num_clients=NUM_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT):
         finally:
             pool.close()
 
-    vector_text, vector_metrics = run_vectorized_attribution()
-
     metrics = {f"solver_{k}": v for k, v in solver_metrics.items()}
     metrics.update({f"respect_{k}": v for k, v in respect_metrics.items()})
     metrics.update(
         {f"respect_workers_{k}": v for k, v in workers_metrics.items()}
     )
-    metrics.update(vector_metrics)
     metrics.update(solver_cpu.metrics("solver"))
     metrics.update(respect_cpu.metrics("respect"))
     metrics.update(workers_cpu.metrics("respect_workers"))
@@ -404,8 +357,6 @@ def run_full(num_clients=NUM_CLIENTS, requests_per_client=REQUESTS_PER_CLIENT):
         + workers_table
         + "\n(decode-worker scaling bar >= 2x asserted only on hosts "
         f"with >= 4 cores; this host has {os.cpu_count()})"
-        + "\n\n"
-        + vector_text
         + "\n\nCPU utilization per regime "
         f"(host: {os.cpu_count()} core(s)):\n"
         + "\n".join(
@@ -432,7 +383,6 @@ def test_sharded_service_throughput(emit):
     assert metrics["solver_scaling_1_to_4"] >= 2.0
     assert metrics["solver_scaling_1_to_2"] >= 1.2
     assert metrics["solver_blocked_admissions_backpressure_round"] > 0
-    assert metrics["vectorized_speedup"] > 0.0
     if worker_scaling_asserted():
         assert metrics["respect_workers_scaling_1_to_4"] >= 2.0
 

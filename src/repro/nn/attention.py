@@ -89,17 +89,37 @@ class AttentionHead(Module):
         }
         return clipped, cache
 
-    def scores(self, query: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Cacheless scoring for inference: returns the clipped scores only.
+    def scores(
+        self,
+        query: np.ndarray,
+        ref: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        scratch: np.ndarray,
+    ) -> np.ndarray:
+        """Cacheless inference scoring of the ``rows`` x ``cols`` block.
 
-        Computes exactly :meth:`forward`'s float operations (so the result
-        is bitwise-equal) but skips building the backward cache, which
-        keeps ``O(B T H)`` intermediates alive per decode step.  ``ref``
-        must be :meth:`precompute_ref`'s output for the scored contexts.
+        Returns ``[len(rows), T]`` scores whose ``cols`` entries are
+        bitwise-equal to the same entries of :meth:`forward`'s
+        ``scores[rows]``; the other entries are meaningless.  No backward
+        cache is built, which would keep ``O(B T H)`` intermediates alive
+        per decode step.  ``ref`` is :meth:`precompute_ref`'s ``[B, T, H]``
+        output and ``scratch`` a reusable ``[B, T, H]`` buffer in the
+        activation dtype, holding finite values.
+
+        Three things keep the scored entries exact: the query projection
+        runs over the whole ``[B, H]`` query, because a GEMM's per-row
+        floats can depend on its row count; ``tanh`` runs only at
+        ``cols``, which is safe because it is elementwise; and the product
+        with ``v`` runs over all ``T`` positions of ``scratch``, because a
+        matrix-vector product over a subset of positions can round a
+        position differently.  Positions outside ``cols`` keep stale
+        values whose scores are never read.
         """
-        q = query @ self.w_q.value + self.bias.value  # [B, H]
-        activated = F.tanh(ref + q[:, None, :])  # [B, T, H]
-        raw = activated @ self.v.value  # [B, T]
+        q = (query @ self.w_q.value + self.bias.value)[rows]  # [K, H]
+        activated = scratch[: rows.size]  # [K, T, H]
+        activated[:, cols] = F.tanh(ref[np.ix_(rows, cols)] + q[:, None, :])
+        raw = activated @ self.v.value  # [K, T]
         if self.logit_clip > 0:
             return self.logit_clip * F.tanh(raw / self.logit_clip)
         return raw

@@ -342,11 +342,33 @@ class PointerNetworkPolicy(Module):
           per-step skinny matmuls they replace);
         * the decoder input becomes a row gather of that projection
           instead of an embedding gather followed by a per-step matmul;
-        * attention heads run cacheless (:meth:`AttentionHead.scores`)
-          and the per-step probability array (``exp`` of the full
-          ``[B, T]`` log-softmax, unused by greedy decoding) is never
-          materialized — the selected actions' log-probabilities are
-          gathered straight from the shifted logits.
+        * attention heads run cacheless and the per-step probability
+          array (``exp`` of the full ``[B, T]`` log-softmax, unused by
+          greedy decoding) is never materialized — the selected actions'
+          log-probabilities are gathered straight from the shifted
+          logits;
+        * *forced* rows skip both attention heads.  A row is forced at a
+          step when it has exactly one selectable column — the common
+          case on DNN graphs, whose topological ready set is almost
+          always a single node; a finished padded row (only its dummy
+          position 0 selectable) is forced too.  The skip is exact: with
+          one unmasked column its shifted logit is ``0`` and every other
+          column sits at ``MASK_LOGIT - logit`` (about ``-1e9``; pointer
+          logits are bounded by ``logit_clip`` or by the tanh
+          activations), whose ``exp`` underflows to exactly ``0``, so the
+          row's log-probability term is ``0.0 - log(1.0) = 0.0`` and the
+          argmax can only pick the ready node.  The glimpse feeds nothing
+          but the pointer logits, so it is skipped too; the decoder LSTM
+          step still runs for every row, because its next input is the
+          chosen node.  The context projections (``precompute_ref``) are
+          built on the first step with an unforced row, so a chain-like
+          graph never pays for them;
+        * the remaining rows run attention only at the columns some of
+          them can pick (see :meth:`AttentionHead.scores` for why those
+          scores stay bit-exact).  Softmax normalizers and the glimpse's
+          weighted sum still run over all ``T`` columns: summing a subset
+          would regroup the additions once three or more columns are
+          selectable and could move ``log_prob``.
 
         The returned rollout carries no caches and cannot be
         ``backward``-ed; training unrolls must use :meth:`forward`.
@@ -417,8 +439,13 @@ class PointerNetworkPolicy(Module):
             context_list.append(h)
         contexts = np.stack(context_list, axis=1)  # [B, T, H]
 
-        glimpse_ref = self.glimpse.attention.precompute_ref(contexts)
-        pointer_ref = self.pointer.precompute_ref(contexts)
+        # The context projections and the attention scratch buffers are
+        # built on the first step with an unforced row, so a decode whose
+        # every step is forced never pays for them.
+        glimpse_ref: Optional[np.ndarray] = None
+        pointer_ref: Optional[np.ndarray] = None
+        glimpse_scratch: Optional[np.ndarray] = None
+        pointer_scratch: Optional[np.ndarray] = None
         dh, dc = h, c
         # The first decoder input is the trainable d0 row, tiled *before*
         # projecting: a 1-D ``d0 @ w_x`` takes a different BLAS path and
@@ -439,22 +466,47 @@ class PointerNetworkPolicy(Module):
             if lengths is not None:
                 finished = i >= lengths
                 mask[finished, 0] = True
-            g_scores = self.glimpse.attention.scores(dh, glimpse_ref)
-            weights = F.masked_softmax(g_scores, mask)
-            glimpse_vec = np.einsum("bt,bth->bh", weights, contexts)
-            logits = self.pointer.scores(glimpse_vec, pointer_ref)
-            masked_logits = np.where(mask, logits, F.MASK_LOGIT)
-            acts = np.argmax(masked_logits, axis=1)
-            # Gathered log-softmax: same floats as
-            # ``F.log_softmax(masked_logits)[rows, acts]`` without the
-            # [B, T] materialization.
-            shifted = masked_logits - np.max(masked_logits, axis=1, keepdims=True)
-            step_log_prob = shifted[rows, acts] - np.log(
-                np.sum(np.exp(shifted), axis=1)
-            )
-            if finished is not None:
-                step_log_prob = np.where(finished, 0.0, step_log_prob)
-            log_prob += step_log_prob
+            # Forced rows (one selectable column) pick it with
+            # log-probability exactly 0.0; only the other rows run the
+            # attention heads (see the docstring).
+            acts = np.argmax(mask, axis=1)
+            live = np.flatnonzero(np.count_nonzero(mask, axis=1) != 1)
+            if live.size:
+                if glimpse_ref is None:
+                    glimpse_ref = self.glimpse.attention.precompute_ref(contexts)
+                    pointer_ref = self.pointer.precompute_ref(contexts)
+                    scratch_dtype = np.result_type(glimpse_ref, dh)
+                    glimpse_scratch = np.zeros(glimpse_ref.shape, scratch_dtype)
+                    pointer_scratch = np.zeros(pointer_ref.shape, scratch_dtype)
+                live_mask = mask[live]
+                # Only the columns some live row can pick are scored.
+                cols = np.flatnonzero(live_mask.any(axis=0))
+                g_scores = self.glimpse.attention.scores(
+                    dh, glimpse_ref, live, cols, glimpse_scratch
+                )
+                weights = F.masked_softmax(g_scores, live_mask)
+                # Forced rows' glimpses stay zero: the pointer's query
+                # projection runs over the whole batch, and their scores
+                # are never read.
+                glimpse_vec = np.zeros_like(dh)
+                glimpse_vec[live] = np.einsum(
+                    "bt,bth->bh", weights, contexts[live]
+                )
+                logits = self.pointer.scores(
+                    glimpse_vec, pointer_ref, live, cols, pointer_scratch
+                )
+                masked_logits = np.where(live_mask, logits, F.MASK_LOGIT)
+                live_acts = np.argmax(masked_logits, axis=1)
+                # Gathered log-softmax: the same floats as indexing
+                # ``F.log_softmax(masked_logits)`` at ``live_acts``,
+                # without the [K, T] materialization.
+                shifted = masked_logits - np.max(
+                    masked_logits, axis=1, keepdims=True
+                )
+                acts[live] = live_acts
+                log_prob[live] += shifted[
+                    np.arange(live.size), live_acts
+                ] - np.log(np.sum(np.exp(shifted), axis=1))
             actions_out[:, i] = acts
             visited[rows, acts] = True
             if remaining is not None:

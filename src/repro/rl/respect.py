@@ -93,14 +93,9 @@ class RespectScheduler:
         Decoded orders are then valid topological orders, so the
         post-inference dependency repair is a no-op; disable to study
         the unconstrained decoder (the post-processing ablation).
-    use_vectorized_decode:
-        Route greedy inference through
-        :meth:`PointerNetworkPolicy.greedy_decode` (hoisted GEMMs,
-        cacheless attention) instead of the general ``forward`` unroll.
-        Both paths are bit-identical — this knob exists so benchmarks can
-        attribute the vectorization win separately; it is deliberately
-        *excluded* from :meth:`options_fingerprint` because it never
-        changes an output.
+
+    Greedy inference runs :meth:`PointerNetworkPolicy.greedy_decode`,
+    which is bit-identical to ``forward(mode="greedy")``.
     """
 
     method_name = "respect"
@@ -112,7 +107,6 @@ class RespectScheduler:
         budget_slack: Optional[float] = None,
         enforce_siblings: bool = False,
         constrain_topological: bool = True,
-        use_vectorized_decode: bool = True,
     ) -> None:
         if embedding_config is None:
             embedding_config = EmbeddingConfig()
@@ -135,7 +129,6 @@ class RespectScheduler:
         self.budget_slack = budget_slack
         self.enforce_siblings = enforce_siblings
         self.constrain_topological = constrain_topological
-        self.use_vectorized_decode = use_vectorized_decode
         self._options_fingerprint: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -164,23 +157,8 @@ class RespectScheduler:
             "budget_slack": self.budget_slack,
             "enforce_siblings": self.enforce_siblings,
             "constrain_topological": self.constrain_topological,
-            "use_vectorized_decode": self.use_vectorized_decode,
             "options_fingerprint": self.options_fingerprint(),
         }
-
-    def _greedy_rollout(self, features, precedence, lengths=None):
-        """One greedy unroll via the configured decode implementation."""
-        if self.use_vectorized_decode:
-            return self._inference_policy.greedy_decode(
-                features, precedence=precedence, lengths=lengths
-            )
-        return self._inference_policy.forward(
-            features,
-            mode="greedy",
-            precedence=precedence,
-            lengths=lengths,
-            keep_caches=False,
-        )
 
     # ------------------------------------------------------------------
     def options_fingerprint(self) -> str:
@@ -232,7 +210,9 @@ class RespectScheduler:
             precedence = (
                 queue.precedence[None, :, :] if self.constrain_topological else None
             )
-            rollout = self._greedy_rollout(queue.features[None, :, :], precedence)
+            rollout = self._inference_policy.greedy_decode(
+                queue.features[None, :, :], precedence=precedence
+            )
             order = queue.names_for(rollout.actions[0])
             raw = pack_sequence(
                 graph, order, num_stages, budget_slack=self.budget_slack
@@ -263,9 +243,9 @@ class RespectScheduler:
             build_encoder_queue(graph, self.embedding_config) for graph in graphs
         ]
         features, precedence, lengths = pad_queues(queues)
-        rollout = self._greedy_rollout(
+        rollout = self._inference_policy.greedy_decode(
             features,
-            precedence if self.constrain_topological else None,
+            precedence=precedence if self.constrain_topological else None,
             lengths=lengths,
         )
         return queues, rollout, lengths
@@ -297,7 +277,7 @@ class RespectScheduler:
 
         Variable-size encoder queues are padded into a single
         ``[B, N, F]`` tensor and decoded in one masked
-        :meth:`PointerNetworkPolicy.forward` pass, then packed and
+        :meth:`PointerNetworkPolicy.greedy_decode` pass, then packed and
         post-processed per graph.  The resulting schedules are identical
         to sequential :meth:`schedule` calls — batching only amortizes
         the network cost, which is what makes repeated inference over

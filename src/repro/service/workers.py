@@ -102,13 +102,16 @@ class _WorkerDecoder:
                 f"metadata; it was not written by DecodeWorkerPool."
                 f"publish_scheduler"
             )
+        # Only the keys read here shape the decode.  Sidecars written
+        # before the single decode path also carry a retired
+        # ``use_vectorized_decode`` flag (it never changed an output);
+        # it and any other extra key are ignored.
         scheduler = RespectScheduler(
             policy=policy,
             embedding_config=EmbeddingConfig(**config["embedding"]),
             budget_slack=config["budget_slack"],
             enforce_siblings=config["enforce_siblings"],
             constrain_topological=config["constrain_topological"],
-            use_vectorized_decode=config["use_vectorized_decode"],
         )
         expected = config.get("options_fingerprint")
         actual = scheduler.options_fingerprint()

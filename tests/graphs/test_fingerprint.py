@@ -4,10 +4,13 @@ import pytest
 
 from repro.graphs.dag import ComputationalGraph
 from repro.graphs.fingerprint import (
+    FINGERPRINT_VERSION,
     graph_fingerprint,
     structural_fingerprint,
 )
-from repro.graphs.sampler import sample_synthetic_dag
+from repro.graphs.sampler import SyntheticDAGSampler, sample_synthetic_dag
+from repro.models.zoo import build_model
+from repro.tpu.quantize import quantize_graph
 
 
 def _diamond(names=("a", "b", "c", "d"), flip_parents=False):
@@ -88,6 +91,54 @@ class TestGraphFingerprint:
         g3 = sample_synthetic_dag(num_nodes=20, degree=3, seed=10)
         assert graph_fingerprint(g1) == graph_fingerprint(g2)
         assert graph_fingerprint(g1) != graph_fingerprint(g3)
+
+
+class TestGoldenDigests:
+    """Pinned digests: persisted store keys are graph fingerprints, so a
+    rewrite of the serialization must keep every value below (or bump
+    ``FINGERPRINT_VERSION`` and update them deliberately)."""
+
+    def test_version(self):
+        assert FINGERPRINT_VERSION == "repro-graph-fp-v1"
+
+    def test_diamond(self):
+        assert graph_fingerprint(_diamond()) == (
+            "d4af6675d0e8279f95fdb682bebf4b8db95ff7d77ed8ff9481d6f521e00dd5b0"
+        )
+
+    @pytest.mark.parametrize(
+        "num_nodes, degree, seed, digests",
+        [
+            (10, 3, 1234, (
+                "dc8c9de8dc0ca70a4289d08bbca0b4d73f82c0dcef489a1ad71e13e7e6c75457",
+                "6a586984acd685cf48157b1571a8503af9d513d4980637c01b7bca1d0c1fa46a",
+            )),
+            (30, 2, 1, (
+                "38cb68c44e9f6005d100ddda9d1d8384aae16e6a044a8c384a69e33baeb3ef82",
+                "cecfcd104c2fb262ef90fa1e90ccec9165c5229a53a429f52a297698bfd0b04d",
+            )),
+            (60, 4, 7, (
+                "c30f52ea2834ea4af9e6ec4b5251688dafe950c31748b9cf659b1ea98329901a",
+                "b81cacb77bd7efc38dc3f466e5c049cfbbcd7ec5970a471dcca06ae825f00179",
+            )),
+        ],
+    )
+    def test_seeded_sampler_graphs(self, num_nodes, degree, seed, digests):
+        sampler = SyntheticDAGSampler(num_nodes=num_nodes, degree=degree, seed=seed)
+        assert tuple(graph_fingerprint(sampler.sample()) for _ in digests) == digests
+
+    def test_zoo_model(self):
+        graph = build_model("Xception")
+        assert graph_fingerprint(graph) == (
+            "52934829cf4dfecf98b7b6c6d005774aa4c0e9d348aaecea3441970b05363b5c"
+        )
+        assert graph_fingerprint(graph, include_attrs=False) == (
+            "5f387de28d4d608b1cd6cd6bfc7cf540a2b917197c3925f31366ccc0d86bdda8"
+        )
+        # Quantization adds attrs, which the default digest covers.
+        assert graph_fingerprint(quantize_graph(graph)) == (
+            "14875c06d3c8428f0e1f89986cbac015d2d89f12b397e55fe07acf5184ec5cce"
+        )
 
 
 class TestStructuralFingerprint:

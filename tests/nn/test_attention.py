@@ -43,6 +43,25 @@ class TestAttentionHead:
                 err_msg=f"param {name}",
             )
 
+    def test_block_scores_match_forward_bitwise(self, rng):
+        # Inference scoring of a rows x cols block must reproduce the
+        # same entries of a full forward pass exactly, whatever stale
+        # values the scratch buffer holds outside the block.
+        head = AttentionHead(7, logit_clip=5.0, rng=3)
+        contexts = rng.normal(size=(5, 11, 7))
+        query = rng.normal(size=(5, 7))
+        full, _ = head.forward(contexts, query)
+        ref = head.precompute_ref(contexts)
+        scratch = rng.normal(size=ref.shape)
+        for rows, cols in [
+            (np.arange(5), np.arange(11)),
+            (np.array([1, 4]), np.array([0, 3, 10])),
+            (np.array([2]), np.array([6])),
+        ]:
+            got = head.scores(query, ref, rows, cols, scratch)
+            assert got.shape == (rows.size, 11)
+            assert got[:, cols].tolist() == full[np.ix_(rows, cols)].tolist()
+
 
 class TestGlimpse:
     def test_masked_positions_excluded(self, rng):

@@ -165,6 +165,44 @@ class TestHotSwap:
         )
 
 
+class _LegacySidecarPublisher:
+    """Publishes ``inner``'s weights with a sidecar in the layout written
+    before greedy inference had one decode path: it still carries the
+    retired ``use_vectorized_decode`` flag."""
+
+    def __init__(self, inner, flag):
+        self.inference_policy = inner.inference_policy
+        current = inner.decode_config()
+        self._config = {
+            "embedding": current["embedding"],
+            "budget_slack": current["budget_slack"],
+            "enforce_siblings": current["enforce_siblings"],
+            "constrain_topological": current["constrain_topological"],
+            "use_vectorized_decode": flag,
+            "options_fingerprint": current["options_fingerprint"],
+        }
+
+    def decode_config(self):
+        return self._config
+
+
+class TestLegacySidecar:
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_retired_decode_flag_is_ignored(
+        self, respect, shared_pool, graphs, flag
+    ):
+        epoch = shared_pool.publish_scheduler(
+            _LegacySidecarPublisher(respect, flag)
+        )
+        wrapped = WorkerDecodeScheduler(respect, shared_pool, epoch)
+        remote = wrapped.schedule_batch(graphs, 4)
+        local = respect.schedule_batch(graphs, 4)
+        for r, l in zip(remote, local):
+            assert r.extras["worker_decode"] is True
+            assert r.schedule.assignment == l.schedule.assignment
+            assert r.extras["log_prob"] == l.extras["log_prob"]
+
+
 class TestFallbackAndValidation:
     def test_unsupported_scheduler_stays_in_process(self, shared_pool, graphs):
         scheduler = ListScheduler()
