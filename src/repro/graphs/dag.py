@@ -23,6 +23,7 @@ and sinks, topological order) that the embeddings and schedulers build on.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,6 +60,8 @@ class OpNode:
     def __post_init__(self) -> None:
         if not self.name:
             raise GraphError("node name must be a non-empty string")
+        for field_name in RESOURCE_FIELDS:
+            resource_value(self, field_name)
         if self.param_bytes < 0 or self.output_bytes < 0 or self.macs < 0:
             raise GraphError(
                 f"node {self.name!r}: resource attributes must be non-negative"
@@ -74,6 +77,27 @@ class OpNode:
             macs=self.macs,
             attrs=dict(self.attrs),
         )
+
+
+#: The integer resource attributes of an :class:`OpNode`.
+RESOURCE_FIELDS = ("param_bytes", "output_bytes", "macs")
+
+
+def resource_value(node: OpNode, field_name: str) -> int:
+    """``node.<field_name>`` as a Python int; non-integers are rejected.
+
+    Only ``numbers.Integral`` values (ints, bools, numpy integers) are
+    accepted.  A float such as ``4096.9`` would be truncated by the graph
+    fingerprint but not by the embedding, so two graphs the scheduler
+    tells apart could share one schedule-cache key.
+    """
+    value = getattr(node, field_name)
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise GraphError(
+            f"node {node.name!r}: {field_name} must be an integer, "
+            f"got {type(value).__name__} {value!r}"
+        )
+    return int(value)
 
 
 class ComputationalGraph:

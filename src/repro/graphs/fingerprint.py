@@ -37,32 +37,71 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, List
+from functools import lru_cache
+from typing import Dict, List, Sequence
 
-from repro.graphs.dag import ComputationalGraph
+from repro.graphs.dag import (
+    RESOURCE_FIELDS,
+    ComputationalGraph,
+    OpNode,
+    resource_value,
+)
 
 #: Bump when the serialization layout changes so stale persisted keys
 #: can never alias fresh ones.
 FINGERPRINT_VERSION = "repro-graph-fp-v1"
 
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_INT_TAG = b"i"
+_VERSION_BYTES = FINGERPRINT_VERSION.encode("utf-8")
+_HEADER = _U64.pack(len(_VERSION_BYTES)) + _VERSION_BYTES
 
-def _hash_str(hasher, text: str) -> None:
-    """Length-prefixed UTF-8 write (prefixing prevents concat collisions)."""
+
+def _str_bytes(text: str) -> bytes:
+    """Length-prefixed UTF-8 (prefixing prevents concat collisions)."""
     data = text.encode("utf-8")
-    hasher.update(struct.pack("<Q", len(data)))
-    hasher.update(data)
+    return _U64.pack(len(data)) + data
 
 
-def _hash_int(hasher, value: int) -> None:
-    value = int(value)
+def _int_bytes(value: int) -> bytes:
     # Arbitrary-precision ints fall back to the length-prefixed string
-    # path; the fixed-width fast path covers every realistic byte count.
+    # path; the fixed-width form covers every realistic byte count.
     if -(2**63) <= value < 2**63:
-        hasher.update(b"i")
-        hasher.update(struct.pack("<q", value))
-    else:
-        hasher.update(b"I")
-        _hash_str(hasher, str(value))
+        return _INT_TAG + _I64.pack(value)
+    return b"I" + _str_bytes(str(value))
+
+
+@lru_cache(maxsize=1024)
+def _node_struct(name_len: int, op_len: int, num_parents: int) -> struct.Struct:
+    """The packed layout of one node with int64-range fields.
+
+    Name and op type are length-prefixed strings; the three resource
+    fields, the parent count, each parent index and the attr count are
+    ``b"i"``-tagged int64s.  Keyed by node shape; bounded, because names
+    of every length pass through a long-lived service.
+    """
+    return struct.Struct(
+        f"<Q{name_len}sQ{op_len}s" + "cq" * (len(RESOURCE_FIELDS) + 2 + num_parents)
+    )
+
+
+def _node_bytes(
+    node: OpNode, parent_indices: Sequence[int], attr_count: int
+) -> bytes:
+    """Field-by-field form of :func:`_node_struct`'s layout.
+
+    Used for nodes the struct cannot pack: a resource field that is not
+    a plain ``int`` (validated and coerced by
+    :func:`~repro.graphs.dag.resource_value`), or one outside int64,
+    which takes the ``b"I"`` string form.
+    """
+    parts = [_str_bytes(node.name), _str_bytes(node.op_type)]
+    parts += [_int_bytes(resource_value(node, field)) for field in RESOURCE_FIELDS]
+    parts.append(_int_bytes(len(parent_indices)))
+    parts += [_int_bytes(index) for index in parent_indices]
+    parts.append(_int_bytes(attr_count))
+    return b"".join(parts)
 
 
 def _canonical_value(value: object) -> str:
@@ -98,40 +137,68 @@ def graph_fingerprint(
     parent indices in parent insertion order, and (unless
     ``include_attrs=False``) its free-form attrs canonicalized by sorted
     key.  The graph's display ``name`` is deliberately excluded — it
-    never reaches any scheduler.
+    never reaches any scheduler.  A resource field that is not an
+    integer raises :class:`~repro.errors.GraphError` (the fields are
+    mutable after construction, so this is checked here too).
 
     Equal fingerprints guarantee that every deterministic scheduler in
     this library produces identical schedules for the two graphs, which
     is what makes the fingerprint safe as a schedule-cache key (see
     :class:`repro.service.ScheduleCache`).
+
+    The byte layout is the ``repro-graph-fp-v1`` one, so digests and
+    persisted store keys are stable.  It is produced with one
+    precompiled ``struct.Struct`` per node shape (name length, op-type
+    length, parent count; see :func:`_node_struct`) and hashed with a
+    single SHA-256 update over the joined bytes — SHA-256 does not
+    depend on how its input is chunked.  Nothing is memoized per graph:
+    a ``graph.copy()`` is fingerprinted from scratch, and no cache may
+    ever carry a digest across ``graph.copy()`` (copies are mutable and
+    serving tiers fingerprint fresh copies on purpose).
     """
-    hasher = hashlib.sha256()
-    _hash_str(hasher, FINGERPRINT_VERSION)
-    _hash_int(hasher, graph.num_nodes)
+    # The graph's own order and adjacency maps, read in place: the public
+    # accessors copy a list per call, a tenth of this function's time.
+    order = graph._order
+    nodes = graph._nodes
+    parents_of = graph._parents
     index = graph.build_index()
-    for name in graph.node_names:
-        node = graph.node(name)
-        _hash_str(hasher, node.name)
-        _hash_str(hasher, node.op_type)
-        _hash_int(hasher, node.param_bytes)
-        _hash_int(hasher, node.output_bytes)
-        _hash_int(hasher, node.macs)
-        parents = graph.parents(name)
-        _hash_int(hasher, len(parents))
+    chunks = [_HEADER, _int_bytes(len(order))]
+    append = chunks.append
+    tag = _INT_TAG
+    for name in order:
+        node = nodes[name]
+        name_bytes = node.name.encode("utf-8")
+        op_bytes = node.op_type.encode("utf-8")
+        parents = parents_of[name]
+        attrs = node.attrs
+        attr_count = len(attrs) if include_attrs else -1
+        param_bytes, output_bytes, macs = node.param_bytes, node.output_bytes, node.macs
+        args = [
+            len(name_bytes), name_bytes, len(op_bytes), op_bytes,
+            tag, param_bytes, tag, output_bytes, tag, macs, tag, len(parents),
+        ]
         for parent in parents:
-            _hash_int(hasher, index[parent])
-        if include_attrs:
+            args += (tag, index[parent])
+        args += (tag, attr_count)
+        packed = None
+        if type(param_bytes) is int and type(output_bytes) is int and type(macs) is int:
+            layout = _node_struct(len(name_bytes), len(op_bytes), len(parents))
+            try:
+                packed = layout.pack(*args)
+            except struct.error:  # a field outside int64
+                pass
+        if packed is None:
+            packed = _node_bytes(node, [index[p] for p in parents], attr_count)
+        append(packed)
+        if include_attrs and attrs:
             items = sorted(
-                ((repr(k), _canonical_value(v)) for k, v in node.attrs.items()),
+                ((repr(k), _canonical_value(v)) for k, v in attrs.items()),
                 key=lambda kv: kv[0],
             )
-            _hash_int(hasher, len(items))
             for key, value in items:
-                _hash_str(hasher, key)
-                _hash_str(hasher, value)
-        else:
-            _hash_int(hasher, -1)
-    return hasher.hexdigest()
+                append(_str_bytes(key))
+                append(_str_bytes(value))
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def _digest(text: str) -> str:
