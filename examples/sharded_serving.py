@@ -12,8 +12,8 @@ walks the four capabilities in order:
    every served schedule bit-identical to a direct scheduler call;
 2. **admission control** — the same burst against depth-limited shards
    under each policy (``block`` waits, ``shed`` raises
-   ``ServiceOverloadError``, ``degrade`` answers inline from a
-   heuristic fallback);
+   ``ServiceOverloadError``, ``degrade`` answers inline from the
+   degrade ladder's ListScheduler floor rung);
 3. **async facade** — ``await service.asubmit(...)`` from an asyncio
    application, futures bridged from the thread tier;
 4. **per-shard hot swap** — a new policy version installed shard by
@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ServiceOverloadError
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.rl.respect import RespectScheduler
-from repro.scheduling.heuristics import ListScheduler
 from repro.service import ShardedSchedulingService
 
 NUM_CLIENTS = 32
@@ -107,12 +106,12 @@ def main() -> None:
               f"ServiceOverloadError (caller retries)")
     with ShardedSchedulingService(
         scheduler, num_shards=NUM_SHARDS, max_queue_depth=2,
-        admission="degrade", fallback_scheduler=ListScheduler(),
+        admission="degrade",
     ) as service:
         results = burst(service, models)
         degraded = sum(bool(r.extras.get("degraded")) for r in results)
         print(f"   degrade -> every request answered; {degraded} by the "
-              f"ListScheduler fallback (bounded latency, lower quality)")
+              f"ListScheduler floor rung (bounded latency, lower quality)")
 
     # -- 3. async facade ------------------------------------------------
     async def async_app(service):

@@ -367,9 +367,9 @@ def serve_methods(
     :func:`compare_methods_over_models` transparently gain the
     fingerprint cache and micro-batching — with schedules bit-identical
     to the unserved path.  Each wrapped method owns one
-    :class:`~repro.service.ScheduleCache` *shared across every service
-    its factory creates*, so repeated models are solved once per method
-    even across separate comparison calls (safe: cache keys embed each
+    :class:`~repro.service.TieredScheduleStore` *shared across every
+    service its factory creates*, so repeated models are solved once per
+    method even across separate comparison calls (safe: cache keys embed each
     scheduler instance's options fingerprint).  Idle services retire
     their worker threads automatically, so factory-created services
     need no explicit ``close()``.
@@ -378,10 +378,10 @@ def serve_methods(
     :class:`repro.service.ShardedSchedulingService` instead — requests
     fan out by graph fingerprint over per-shard solver workers behind
     the given admission policy (see the sharded service docs), and each
-    shard's cache persists across the factory's service generations.
+    shard's store persists across the factory's service generations.
     The underlying factory is then invoked once per shard, so it must
     produce equivalently-configured schedulers (the same assumption the
-    shared cache already makes across calls).
+    shared store already makes across calls).
 
     With ``decode_workers > 0`` every created service owns a
     :class:`~repro.service.workers.DecodeWorkerPool` of that many
@@ -390,10 +390,10 @@ def serve_methods(
     services explicitly (``with make() as service:``) so the worker
     processes are reaped promptly rather than at interpreter exit.
 
-    With ``store_dir=`` the per-method caches become **persistent**: one
+    With ``store_dir=`` the per-method stores become **persistent**: one
     shared :class:`~repro.service.DiskScheduleStore` is opened at that
-    directory and each method's cache (each *shard's* cache when
-    sharded) is a tiered store over its own namespace in it —
+    directory and each method's store (each *shard's* store when
+    sharded) stacks its LRU over its own namespace in it —
     ``"<method>"`` for single-shard methods, ``"<method>/shard-<i>"``
     for sharded ones.  A later :func:`serve_methods` call (or process)
     over the same directory warm-starts: graphs any previous run solved
@@ -409,7 +409,6 @@ def serve_methods(
     """
     from repro.service import (
         DiskScheduleStore,
-        ScheduleCache,
         SchedulingService,
         ShardedSchedulingService,
         TieredScheduleStore,
@@ -420,26 +419,22 @@ def serve_methods(
     )
 
     def wrap(name: str, factory: SchedulerFactory) -> SchedulerFactory:
-        if shared_store is None:
-            shared_caches: List[object] = [
-                ScheduleCache(cache_capacity) for _ in range(max(1, num_shards))
-            ]
-        elif num_shards > 1:
-            shared_caches = [
-                TieredScheduleStore(
-                    disk=shared_store.namespace(f"{name}/shard-{i}"),
-                    memory_capacity=cache_capacity,
-                )
-                for i in range(num_shards)
-            ]
-        else:
-            shared_caches = [
-                TieredScheduleStore(
-                    disk=shared_store.namespace(name),
-                    memory_capacity=cache_capacity,
-                )
-            ]
-        shared_cache = shared_caches[0]
+        namespaces = (
+            [f"{name}/shard-{i}" for i in range(num_shards)]
+            if num_shards > 1
+            else [name]
+        )
+        stores = [
+            TieredScheduleStore(
+                disk=(
+                    shared_store.namespace(namespace)
+                    if shared_store is not None
+                    else None
+                ),
+                memory_capacity=cache_capacity,
+            )
+            for namespace in namespaces
+        ]
         # Created services are handed out behind `_ServedService` façades
         # tracked only weakly, so a long-lived served dict does not keep
         # every service it ever created alive.  When a caller drops its
@@ -472,7 +467,7 @@ def serve_methods(
                     num_shards=num_shards,
                     max_queue_depth=max_queue_depth,
                     admission=admission,
-                    caches=shared_caches,
+                    stores=stores,
                     max_batch_size=max_batch_size,
                     batch_window_s=batch_window_s,
                     decode_workers=decode_workers,
@@ -480,7 +475,7 @@ def serve_methods(
             else:
                 service = SchedulingService(
                     factory(),
-                    cache=shared_cache,
+                    store=stores[0],
                     max_batch_size=max_batch_size,
                     batch_window_s=batch_window_s,
                     decode_workers=decode_workers,

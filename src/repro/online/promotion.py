@@ -194,7 +194,7 @@ def promote_challenger(
     every shard).  With ``invalidate_cache=True`` the retired champion's
     cache entries are evicted eagerly from every shard's cache — and
     when the service mounts a persistent schedule store (``store=`` /
-    ``store_dir=``), the eviction reaches **every tier**: the store
+    ``stores=`` / ``store_dir=``), the eviction reaches **every tier**: the store
     appends durable tombstones and its index is snapshotted here, so a
     process restarted over the same store directory can never serve a
     schedule solved by the retired champion.

@@ -1,16 +1,16 @@
 """High-throughput scheduling service (fingerprint cache + micro-batching).
 
-The serving layer toward the ROADMAP's production north star: an LRU
-:class:`ScheduleCache` keyed by exact graph content fingerprints, and a
+The serving layer toward the ROADMAP's production north star: a
 :class:`SchedulingService` that accepts concurrent ``submit`` requests,
-coalesces identical in-flight ones, aggregates the rest into
-micro-batches for the scheduler's vectorized ``schedule_batch``, and
-returns futures whose schedules are bit-identical to direct
-``scheduler.schedule`` calls.
+answers repeats from a schedule store keyed by exact graph content
+fingerprints, coalesces identical in-flight requests, aggregates the
+rest into micro-batches for the scheduler's vectorized
+``schedule_batch``, and returns futures whose schedules are
+bit-identical to direct ``scheduler.schedule`` calls.
 
 :class:`ShardedSchedulingService` scales that horizontally: requests
 are consistent-hashed by graph fingerprint across N independent
-service shards (private cache, micro-batcher and hot-swap slot each),
+service shards (private store, micro-batcher and hot-swap slot each),
 behind bounded admission (block / shed / degrade backpressure policies)
 and an async ``asubmit`` facade.
 
@@ -20,12 +20,15 @@ a :class:`DecodeWorkerPool` of worker processes over the versioned
 :mod:`repro.service.wire` format, with bit-identical schedules,
 hot-swap propagation via weights epochs, and crash-respawned workers.
 
-And both tiers optionally **persist**: ``store_dir=`` stacks the LRU
-over a crash-safe, content-addressed :class:`DiskScheduleStore`
-(append-only segments of wire frames, provenance-tagged entries,
-durable tombstone invalidation) via :class:`TieredScheduleStore`, so a
-rebooted service serves previously solved graphs without re-solving —
-see :mod:`repro.service.store`.
+Storage is configured one way on both tiers.  Every service answers
+from a :class:`TieredScheduleStore`: an LRU :class:`ScheduleCache`
+over an optional crash-safe, content-addressed
+:class:`DiskScheduleStore` namespace (:class:`StoreNamespace`).  Pass
+``store_dir=`` to have the tier open and own a persistent one (a
+rebooted service then serves previously solved graphs without
+re-solving), ``store=`` (``stores=``, one per shard, on the sharded
+tier) to mount caller-owned ones, or neither for a memory-only store of
+``cache_capacity`` entries — see :mod:`repro.service.store`.
 """
 
 from repro.service.cache import (

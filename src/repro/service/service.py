@@ -6,9 +6,9 @@ server.  Three mechanisms amortize the per-request cost:
 
 1. **Fingerprint cache** — requests are keyed by
    ``(graph_fingerprint, num_stages, scheduler options fingerprint)``;
-   a previously solved graph is answered from an LRU
-   :class:`~repro.service.cache.ScheduleCache` without touching the
-   scheduler at all.
+   a previously solved graph is answered from the service's
+   :class:`~repro.service.store.TieredScheduleStore` (an LRU over an
+   optional disk tier) without touching the scheduler at all.
 2. **In-flight coalescing** — concurrent identical requests (a thundering
    herd on a cache miss) share one solve: later submitters attach to the
    pending request instead of enqueuing a duplicate.
@@ -69,10 +69,14 @@ from repro.scheduling.sequence import normalize_stage_counts
 from repro.service.cache import (
     CachedSchedule,
     CacheKey,
-    CacheStats,
     ScheduleCache,
 )
-from repro.service.store import DEFAULT_NAMESPACE, mount_store
+from repro.service.store import (
+    DEFAULT_NAMESPACE,
+    DiskScheduleStore,
+    TieredScheduleStore,
+    TieredStoreStats,
+)
 # Still exported from this module: the shared percentile helper is the
 # pinned single implementation behind the *report* layers; service-side
 # latency percentiles now come from the registry histogram.
@@ -199,7 +203,7 @@ class ServiceStats:
     latency_mean_s: float
     latency_p50_s: float
     latency_p99_s: float
-    cache: CacheStats
+    cache: TieredStoreStats
     #: Hot-swaps performed via :meth:`SchedulingService.swap_scheduler`.
     swaps: int = 0
     #: Serve-listener exceptions swallowed by :meth:`_notify` (the first
@@ -328,28 +332,23 @@ class SchedulingService(ServingFacade):
     scheduler:
         Any object with ``schedule(graph, num_stages)``; a vectorized
         ``schedule_batch(graphs, stage_counts)`` is used when present.
-    cache:
-        A (possibly shared) :class:`ScheduleCache`; by default a private
-        cache of ``cache_capacity`` entries is created.  Sharing is safe
-        because keys embed the scheduler options fingerprint.
     store:
-        A pre-built schedule store to mount instead of a bare cache: a
-        :class:`~repro.service.store.DiskScheduleStore` (one namespace
-        of it is stacked under a fresh LRU; the store stays
-        caller-owned) or any cache-protocol object such as a
-        :class:`~repro.service.store.TieredScheduleStore`.  Mutually
-        exclusive with ``cache`` and ``store_dir``.
+        A caller-owned :class:`~repro.service.store.TieredScheduleStore`
+        (an LRU over an optional disk namespace) to answer from and
+        publish to.  Sharing one between services is safe because keys
+        embed the scheduler options fingerprint; :meth:`close` leaves it
+        open.  Mutually exclusive with ``store_dir``.
     store_dir:
-        Convenience: open (or create) a persistent
+        Open (or create) a persistent
         :class:`~repro.service.store.DiskScheduleStore` at this
-        directory and stack the in-memory LRU over it.  The service owns
-        the disk store and closes it in :meth:`close`; entries written
-        by previous processes over the same directory are served without
-        re-solving (warm start).
-    store_namespace:
-        Namespace inside the disk store for this service's entries
-        (default ``"default"``); the knob the sharded tier uses to give
-        each shard its own keyspace in one shared store.
+        directory and stack an LRU over its ``"default"`` namespace.
+        The service owns the disk store and closes it in :meth:`close`;
+        entries written by previous processes over the same directory
+        are served without re-solving (warm start).
+    cache_capacity:
+        Entries in the LRU tier the service builds itself (a memory-only
+        store when neither ``store`` nor ``store_dir`` is given);
+        ignored with ``store=``.
     max_batch_size:
         Upper bound on requests aggregated into one scheduler batch.
     batch_window_s:
@@ -384,15 +383,13 @@ class SchedulingService(ServingFacade):
     def __init__(
         self,
         scheduler: object,
-        cache: Optional[ScheduleCache] = None,
         cache_capacity: int = 1024,
         max_batch_size: int = 32,
         batch_window_s: float = 0.002,
         decode_workers: int = 0,
         decode_pool: Optional[object] = None,
-        store: Optional[object] = None,
+        store: Optional[TieredScheduleStore] = None,
         store_dir: Optional[str] = None,
-        store_namespace: str = DEFAULT_NAMESPACE,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if not callable(getattr(scheduler, "schedule", None)):
@@ -416,16 +413,29 @@ class SchedulingService(ServingFacade):
                 "pass either decode_workers=N (service owns a pool) or "
                 "decode_pool= (shared), not both"
             )
-        # Mount the store before owning any decode pool so an invalid
-        # cache=/store=/store_dir= combination cannot leak worker
-        # processes; an owned disk store is closed by close().
-        self.cache, self._owned_store = mount_store(
-            store=store,
-            store_dir=store_dir,
-            cache=cache,
-            cache_capacity=cache_capacity,
-            namespace=store_namespace,
-        )
+        if store is not None and store_dir is not None:
+            raise ServiceError(
+                "pass either store= (caller-owned) or store_dir= "
+                "(service-owned), not both"
+            )
+        if store is not None and not isinstance(store, TieredScheduleStore):
+            raise ServiceError(
+                f"store= must be a TieredScheduleStore, got "
+                f"{type(store).__name__}; wrap a ScheduleCache as "
+                f"TieredScheduleStore(memory=cache) and a DiskScheduleStore "
+                f"as TieredScheduleStore(disk=disk_store.namespace(name))"
+            )
+        # Build the store before owning any decode pool so a bad
+        # cache_capacity cannot leak worker processes; an owned disk
+        # store is closed by close().
+        self._owned_store: Optional[DiskScheduleStore] = None
+        if store is None:
+            disk = None
+            if store_dir is not None:
+                self._owned_store = DiskScheduleStore(store_dir)
+                disk = self._owned_store.namespace(DEFAULT_NAMESPACE)
+            store = TieredScheduleStore(disk=disk, memory_capacity=cache_capacity)
+        self.cache = store
         self._owns_decode_pool = False
         if decode_workers > 0:
             from repro.service.workers import DecodeWorkerPool
@@ -602,7 +612,8 @@ class SchedulingService(ServingFacade):
                             lambda _f, _s=span: _s.end()
                         )
                 return future
-            cached, tier = self._lookup(key)
+            cached, tier = self.cache.lookup(key)
+            tier = tier or "miss"
             self._m_tier_lookups[tier].inc()
             if cached is None:
                 pending = _PendingRequest(
@@ -647,21 +658,6 @@ class SchedulingService(ServingFacade):
         if owns_span:
             span.end()
         return future
-
-    def _lookup(self, key: CacheKey):
-        """Resolve ``key`` against the cache tier; returns (entry, tier).
-
-        ``tier`` labels where the answer came from: ``"memory"`` /
-        ``"disk"`` for a :class:`~repro.service.store
-        .TieredScheduleStore` (which reports its own promotion path via
-        ``lookup``), ``"memory"``/``"miss"`` for a bare LRU cache.
-        """
-        tiered = getattr(self.cache, "lookup", None)
-        if callable(tiered):
-            entry, tier = tiered(key)
-            return entry, (tier or "miss")
-        entry = self.cache.get(key)
-        return entry, ("memory" if entry is not None else "miss")
 
     def backlog(self) -> int:
         """Unique solves currently queued or in flight on the worker."""
@@ -1131,27 +1127,20 @@ class SchedulingService(ServingFacade):
         return self.cache.invalidate_options(options_key)
 
     @property
-    def schedule_store(self):
+    def schedule_store(self) -> Optional[DiskScheduleStore]:
         """The persistent store behind this service (None when memory-only)."""
-        disk = getattr(self.cache, "disk", None)
-        return getattr(disk, "store", None)
+        disk = self.cache.disk
+        return disk.store if disk is not None else None
 
     def snapshot(self):
         """Persist the mounted store's index (see ``DiskScheduleStore``).
 
-        Delegates to the mounted store's ``snapshot()``; raises
-        :class:`ServiceError` when the service runs on a purely
-        in-memory cache (nothing durable to snapshot).  Appends are
-        already flushed per put — a snapshot only bounds the replay a
-        reopen has to do and fsyncs the segment tail.
+        Raises :class:`ServiceError` when the store is memory-only
+        (nothing durable to snapshot).  Appends are already flushed per
+        put — a snapshot only bounds the replay a reopen has to do and
+        fsyncs the segment tail.
         """
-        snapshot = getattr(self.cache, "snapshot", None)
-        if not callable(snapshot):
-            raise ServiceError(
-                "this service has no persistent schedule store to "
-                "snapshot (construct it with store= or store_dir=)"
-            )
-        return snapshot()
+        return self.cache.snapshot()
 
     def restore(self, limit: Optional[int] = None) -> int:
         """Warm the in-memory tier from the persistent one (see
@@ -1160,10 +1149,7 @@ class SchedulingService(ServingFacade):
         Returns the number of preloaded entries; ``0`` when the service
         has no persistent store (reads would not benefit).
         """
-        restore = getattr(self.cache, "restore", None)
-        if not callable(restore):
-            return 0
-        return restore(limit)
+        return self.cache.restore(limit)
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
         """Stop accepting requests; drain what the worker can, fail the rest.

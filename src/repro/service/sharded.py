@@ -4,7 +4,7 @@
 :class:`~repro.service.SchedulingService` horizontally: requests are
 routed by **graph fingerprint** over a consistent-hash ring onto ``N``
 fully independent shards, each keeping its own
-:class:`~repro.service.ScheduleCache`, micro-batching worker and
+:class:`~repro.service.TieredScheduleStore`, micro-batching worker and
 hot-swap slot.  Three properties fall out of fingerprint routing:
 
 * **cache affinity** — content-identical graphs always land on the same
@@ -29,10 +29,12 @@ that the selected ``admission`` policy applies:
     :class:`~repro.errors.ServiceOverloadError` is raised immediately —
     for callers with their own retry/hedging logic.
 ``"degrade"``
-    The request is answered *inline* by a cheap fallback scheduler (a
-    deterministic heuristic by default) instead of queueing — latency
-    stays bounded at the cost of schedule quality; degraded results are
-    marked ``extras["degraded"] = True``.
+    The request is answered *inline* instead of queueing — by the
+    ``portfolio`` degrade ladder when one is given, else by the ladder's
+    ``"floor"`` rung alone (a deterministic
+    :class:`~repro.scheduling.heuristics.ListScheduler`).  Latency stays
+    bounded at the cost of schedule quality; degraded results are marked
+    ``extras["degraded"] = True``.
 
 **Hot swap.**  :meth:`swap_scheduler` installs a new policy shard by
 shard.  The atomicity contract is **per shard**: every request is served
@@ -71,8 +73,7 @@ from repro.obs.telemetry import Telemetry
 from repro.obs.trace import current_span
 from repro.scheduling.schedule import ScheduleResult
 from repro.scheduling.sequence import normalize_stage_counts
-from repro.service.cache import ScheduleCache
-from repro.service.store import DiskScheduleStore
+from repro.service.store import DiskScheduleStore, TieredScheduleStore
 from repro.service.service import (
     SchedulingService,
     ServiceStats,
@@ -166,8 +167,7 @@ class ShardedServiceStats:
     blocked: int
     #: Submissions rejected with ServiceOverloadError ("shed").
     shed: int
-    #: Submissions answered inline by the degrade ladder or fallback
-    #: scheduler ("degrade").
+    #: Submissions answered inline by the degrade ladder ("degrade").
     degraded: int
     per_shard: Tuple[ServiceStats, ...]
 
@@ -200,47 +200,35 @@ class ShardedSchedulingService(ServingFacade):
     admission:
         ``"block"`` (default) / ``"shed"`` / ``"degrade"`` — see the
         module docstring.
-    fallback_scheduler:
-        Heuristic used by ``"degrade"``; defaults to the deterministic
-        :class:`~repro.scheduling.heuristics.ListScheduler`.  Ignored
-        when ``portfolio`` is supplied.
     portfolio:
         Optional :class:`~repro.portfolio.degrade.DegradeLadder` (any
         object with ``serve(graph, num_stages) -> (result, rung)``).
         When present, degraded requests walk the pressure-ranked
-        policy → heuristic → cached-nearest → floor ladder instead of
-        cliffing straight to ``fallback_scheduler``; the answering rung
-        lands in ``extras["degrade_rung"]`` and in the front tier's
-        ``respect_degrade_rung_total{rung=...}`` counters.  If the
-        object also exposes ``observe(graph, num_stages, result)``, it
-        is registered as a tier-wide serve listener so full-quality
+        policy → heuristic → cached-nearest → floor ladder; without
+        one they are answered by the floor rung alone.  The answering
+        rung lands in ``extras["degrade_rung"]`` and in the front
+        tier's ``respect_degrade_rung_total{rung=...}`` counters.  If
+        the object also exposes ``observe(graph, num_stages, result)``,
+        it is registered as a tier-wide serve listener so full-quality
         serves warm its cached-nearest index.
-    caches:
-        Optional pre-built per-shard caches (``len == num_shards``) so a
-        front tier can persist warm caches across service generations;
-        by default each shard builds a private cache of
-        ``cache_capacity`` entries.  Mutually exclusive with
-        ``store``/``store_dir``.
-    store:
-        A shared :class:`~repro.service.store.DiskScheduleStore`: each
-        shard mounts a tiered store (private LRU over its own
-        ``shard-<i>`` namespace of this store).  The ring depends only
-        on ``num_shards``/``virtual_nodes``, so namespaces preserve
-        consistent-hash affinity across restarts — a reopened tier finds
-        each fingerprint's entries in exactly the namespace its shard
-        reads.  Stays caller-owned (not closed by :meth:`close`).
+    stores:
+        Optional caller-owned
+        :class:`~repro.service.store.TieredScheduleStore` per shard
+        (``len == num_shards``), so a front tier can keep warm stores
+        across service generations; :meth:`close` leaves them open.
+        Mutually exclusive with ``store_dir``.
     store_dir:
-        Convenience: open (or create) one persistent store at this
-        directory, owned by the tier and closed with it.  A tier
-        rebooted over the same directory serves previously solved
-        graphs without re-solving them.
-    store_namespace:
-        Optional prefix for the per-shard namespaces (the shard ``i``
-        namespace is ``"<prefix>/shard-<i>"``, or ``"shard-<i>"`` when
-        empty) — how multiple tiers (e.g. one per served method) share
-        one store directory without key collisions.
+        Open (or create) one persistent store at this directory, owned
+        by the tier and closed with it; shard ``i`` stacks an LRU of
+        ``cache_capacity`` entries over its ``"shard-<i>"`` namespace.
+        The ring depends only on ``num_shards``/``virtual_nodes``, so
+        namespaces preserve consistent-hash affinity across restarts —
+        a tier rebooted over the same directory finds each
+        fingerprint's entries in exactly the namespace its shard reads
+        and serves them without re-solving.
     cache_capacity / max_batch_size / batch_window_s:
-        Forwarded to every shard's :class:`SchedulingService`.
+        Forwarded to every shard's :class:`SchedulingService`
+        (``cache_capacity`` is ignored with ``stores=``).
     decode_workers:
         When positive, one shared
         :class:`~repro.service.workers.DecodeWorkerPool` of that many
@@ -271,18 +259,15 @@ class ShardedSchedulingService(ServingFacade):
         num_shards: int = 2,
         max_queue_depth: int = 64,
         admission: str = "block",
-        fallback_scheduler: Optional[object] = None,
         portfolio: Optional[object] = None,
-        caches: Optional[Sequence[ScheduleCache]] = None,
+        stores: Optional[Sequence[TieredScheduleStore]] = None,
         cache_capacity: int = 1024,
         max_batch_size: int = 32,
         batch_window_s: float = 0.002,
         virtual_nodes: int = _VIRTUAL_NODES,
         decode_workers: int = 0,
         decode_pool: Optional[object] = None,
-        store: Optional[DiskScheduleStore] = None,
         store_dir: Optional[str] = None,
-        store_namespace: str = "",
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         if (scheduler is None) == (scheduler_factory is None):
@@ -300,46 +285,33 @@ class ShardedSchedulingService(ServingFacade):
                 f"unknown admission policy {admission!r}; choose from "
                 f"{_ADMISSION_POLICIES}"
             )
-        if caches is not None and len(caches) != num_shards:
-            raise ServiceError(
-                f"caches must have one entry per shard: got {len(caches)} "
-                f"for {num_shards} shards"
-            )
-        store_sources = [
-            name
-            for name, value in (
-                ("caches", caches),
-                ("store", store),
-                ("store_dir", store_dir),
-            )
-            if value is not None
-        ]
-        if len(store_sources) > 1:
-            raise ServiceError(
-                f"supply at most one of caches=/store=/store_dir=, got "
-                f"{'+'.join(store_sources)}"
-            )
+        if stores is not None:
+            if store_dir is not None:
+                raise ServiceError(
+                    "pass either stores= (caller-owned) or store_dir= "
+                    "(tier-owned), not both"
+                )
+            if len(stores) != num_shards:
+                raise ServiceError(
+                    f"stores must have one entry per shard: got "
+                    f"{len(stores)} for {num_shards} shards"
+                )
+            for store in stores:
+                if not isinstance(store, TieredScheduleStore):
+                    raise ServiceError(
+                        f"stores= entries must be TieredScheduleStores, "
+                        f"got {type(store).__name__}"
+                    )
         self._owned_store: Optional[DiskScheduleStore] = None
         if store_dir is not None:
-            store = DiskScheduleStore(store_dir)
-            self._owned_store = store
-        elif store is not None and not isinstance(store, DiskScheduleStore):
-            raise ServiceError(
-                "sharded store= must be a DiskScheduleStore (per-shard "
-                "namespaces are carved out of it)"
-            )
-        self._disk_store = store
-        self._store_namespace = str(store_namespace)
-        if admission == "degrade":
-            if fallback_scheduler is None:
-                from repro.scheduling.heuristics import ListScheduler
-
-                fallback_scheduler = ListScheduler()
-            if not callable(getattr(fallback_scheduler, "schedule", None)):
-                raise ServiceError(
-                    "fallback_scheduler must expose schedule(graph, "
-                    "num_stages)"
+            self._owned_store = DiskScheduleStore(store_dir)
+            stores = [
+                TieredScheduleStore(
+                    disk=self._owned_store.namespace(self.shard_namespace(i)),
+                    memory_capacity=cache_capacity,
                 )
+                for i in range(num_shards)
+            ]
         # Duck-typed so repro.service never imports repro.portfolio:
         # anything with the DegradeLadder serve() contract works.
         if portfolio is not None and not callable(
@@ -368,8 +340,14 @@ class ShardedSchedulingService(ServingFacade):
         self.num_shards = num_shards
         self.max_queue_depth = max_queue_depth
         self.admission = admission
-        self.fallback_scheduler = fallback_scheduler
         self.portfolio = portfolio
+        # Without a ladder, "degrade" answers from the ladder's floor
+        # rung alone.
+        self._floor: Optional[object] = None
+        if admission == "degrade" and portfolio is None:
+            from repro.scheduling.heuristics import ListScheduler
+
+            self._floor = ListScheduler()
         self._ring = build_hash_ring(num_shards, virtual_nodes)
         # One weights epoch serves every shard: the first wrap publishes,
         # the rest reuse it (factories must produce equivalent
@@ -385,12 +363,10 @@ class ShardedSchedulingService(ServingFacade):
             shards.append(
                 SchedulingService(
                     incoming,
-                    cache=caches[i] if caches is not None else None,
                     cache_capacity=cache_capacity,
                     max_batch_size=max_batch_size,
                     batch_window_s=batch_window_s,
-                    store=self._disk_store,
-                    store_namespace=self.shard_namespace(i),
+                    store=stores[i] if stores is not None else None,
                     # Per-shard label: one shared registry, per-shard
                     # series — shard stats stay views over their own
                     # instruments, a single scrape covers the tier.
@@ -441,11 +417,9 @@ class ShardedSchedulingService(ServingFacade):
         self._m_listener_errors = front.counter(
             "respect_listener_errors_total"
         )
-        # Which ladder rung answered each degraded request.  The first
-        # four names mirror repro.portfolio.degrade.LADDER_RUNGS (not
-        # imported here — the service layer stays portfolio-free);
-        # "fallback" is the legacy single-scheduler degrade path used
-        # when no ladder is configured.
+        # Which ladder rung answered each degraded request.  The names
+        # mirror repro.portfolio.degrade.LADDER_RUNGS (not imported
+        # here — the service layer stays portfolio-free).
         self._front_telemetry = front
         self._m_degrade_rungs = {
             rung: front.counter(
@@ -453,13 +427,7 @@ class ShardedSchedulingService(ServingFacade):
                 help="Degraded serves by the ladder rung that answered",
                 rung=rung,
             )
-            for rung in (
-                "policy",
-                "heuristic",
-                "cached_nearest",
-                "floor",
-                "fallback",
-            )
+            for rung in ("policy", "heuristic", "cached_nearest", "floor")
         }
         if self.portfolio is not None and callable(
             getattr(self.portfolio, "observe", None)
@@ -503,31 +471,42 @@ class ShardedSchedulingService(ServingFacade):
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def shard_namespace(self, shard_id: int) -> str:
-        """Persistent-store namespace of shard ``shard_id``.
+    @staticmethod
+    def shard_namespace(shard_id: int) -> str:
+        """Persistent-store namespace of shard ``shard_id`` (``store_dir=``).
 
         Stable across restarts for a fixed tier shape, which is what
         makes a reopened store warm: the ring (and thus each
         fingerprint's shard) depends only on ``num_shards`` and
-        ``virtual_nodes``, and this mapping depends only on the shard id
-        and the configured prefix.
+        ``virtual_nodes``, and this mapping depends only on the shard id.
         """
-        prefix = self._store_namespace
-        return f"{prefix}/shard-{shard_id}" if prefix else f"shard-{shard_id}"
+        return f"shard-{shard_id}"
 
     @property
     def schedule_store(self) -> Optional[DiskScheduleStore]:
-        """The persistent store behind the tier (None when memory-only)."""
-        return self._disk_store
+        """The persistent store behind shard 0 (None when memory-only).
+
+        With ``store_dir=`` every shard shares this one store.
+        """
+        return self.shards[0].schedule_store
 
     def snapshot(self):
-        """Persist the shared store's index (raises when memory-only)."""
-        if self._disk_store is None:
+        """Persist the index of every disk store behind the shards.
+
+        Returns the first snapshot path; raises :class:`ServiceError`
+        when the tier is memory-only.
+        """
+        disks = [
+            disk
+            for disk in dict.fromkeys(s.schedule_store for s in self.shards)
+            if disk is not None
+        ]
+        if not disks:
             raise ServiceError(
                 "this tier has no persistent schedule store to snapshot "
-                "(construct it with store= or store_dir=)"
+                "(construct it with stores= or store_dir=)"
             )
-        return self._disk_store.snapshot()
+        return [disk.snapshot() for disk in disks][0]
 
     def restore(self, limit: Optional[int] = None) -> int:
         """Warm every shard's memory tier from the shared store.
@@ -771,24 +750,15 @@ class ShardedSchedulingService(ServingFacade):
         With a ``portfolio`` ladder the answer walks
         policy → heuristic → cached-nearest → floor and the winning rung
         is recorded in ``extras["degrade_rung"]`` plus the per-rung
-        front-tier counter; without one the legacy ``fallback_scheduler``
-        answers under the ``"fallback"`` rung label.
+        front-tier counter; without one the floor rung answers alone.
         """
         solve_start = time.time()
         if self.portfolio is not None:
             result, rung = self.portfolio.serve(graph, stages)
-            served_by = str(result.method)
         else:
-            result = self.fallback_scheduler.schedule(graph, stages)  # type: ignore[union-attr]
-            rung = "fallback"
-            result.extras.setdefault("degrade_rung", rung)
-            served_by = str(
-                getattr(
-                    self.fallback_scheduler,
-                    "method_name",
-                    type(self.fallback_scheduler).__name__,
-                )
-            )
+            result, rung = self._floor.schedule(graph, stages), "floor"  # type: ignore[union-attr]
+            result.extras["degrade_rung"] = rung
+        served_by = str(result.method)
         # Degraded serves never reach a shard, so their request count
         # lands here (tier="front") — exactly once.
         self._m_front_requests.inc()
@@ -875,7 +845,7 @@ class ShardedSchedulingService(ServingFacade):
         return old_keys[0]
 
     def invalidate_options(self, options_key: str) -> int:
-        """Evict ``options_key`` entries from every shard's cache."""
+        """Evict ``options_key`` entries from every shard's store."""
         return sum(
             shard.cache.invalidate_options(options_key)
             for shard in self.shards
@@ -888,7 +858,7 @@ class ShardedSchedulingService(ServingFacade):
 
         One registration observes the tier's entire traffic: each shard
         calls the listener for the requests it serves, and the front
-        tier calls it for degraded (fallback-served) requests.  Error
+        tier calls it for degraded requests.  Error
         semantics match :meth:`SchedulingService.add_serve_listener`.
         """
         if not callable(listener):
@@ -1007,8 +977,8 @@ class ShardedSchedulingService(ServingFacade):
             )
             self._decode_pool.close(timeout=remaining)
         # The owned persistent store closes last, after every shard has
-        # stopped writing (its close snapshots the index); a store
-        # passed in via store= stays caller-owned and open.
+        # stopped writing (its close snapshots the index); stores passed
+        # in via stores= stay caller-owned and open.
         if self._owned_store is not None:
             self._owned_store.close()
 

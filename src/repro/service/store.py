@@ -31,21 +31,19 @@ Three classes compose the subsystem:
     options key survive (rollbacks keep working).
 
 :class:`StoreNamespace`
-    A view of one ``namespace`` inside a shared store, duck-typed to the
-    :class:`ScheduleCache` protocol.  Namespaces give each shard of a
+    A view of one ``namespace`` inside a shared store: the disk tier of
+    a :class:`TieredScheduleStore`.  Namespaces give each shard of a
     :class:`~repro.service.ShardedSchedulingService` (and each method of
     a served comparison dict) its own keyspace in one store directory,
     preserving consistent-hash affinity across restarts.
 
 :class:`TieredScheduleStore`
-    The read-through/write-through stack the services actually mount:
-    ``get`` answers from the LRU, falls through to disk on a miss and
-    promotes disk hits into memory; ``put`` writes through to both
-    tiers; ``invalidate_options`` evicts from every tier (memory drop +
-    durable tombstone).  It satisfies the same protocol as a bare
-    :class:`ScheduleCache`, so every layer that owns a cache — the
-    single service, the sharded tier, ``serve_methods``,
-    ``build_fleet`` — mounts it unchanged.
+    The read-through/write-through stack, and the only object a service
+    mounts: ``get`` answers from the LRU, falls through to disk on a
+    miss and promotes disk hits into memory; ``put`` writes through to
+    both tiers; ``invalidate_options`` evicts from every tier (memory
+    drop + durable tombstone).  With ``disk=None`` it is a memory-only
+    store — what a service builds when given no ``store_dir``.
 
 Durability model: appends are flushed to the OS on every ``put`` (a
 process crash loses nothing), and ``snapshot()`` additionally fsyncs the
@@ -858,12 +856,11 @@ class StoreNamespace:
 class TieredScheduleStore:
     """Read-through/write-through LRU-over-disk schedule store.
 
-    ``memory`` is any :class:`ScheduleCache`; ``disk`` is a
-    :class:`StoreNamespace` (or anything cache-protocol shaped), or
-    ``None`` for a memory-only stack (then this class is a transparent
-    wrapper, useful for uniform wiring).  Satisfies the
-    :class:`ScheduleCache` protocol itself, so services mount it as
-    their ``cache`` unchanged.
+    ``memory`` is a :class:`ScheduleCache` (by default a fresh one of
+    ``memory_capacity`` entries); ``disk`` is a :class:`StoreNamespace`,
+    or ``None`` for a memory-only store whose counters then match the
+    bare LRU's.  Every service answers from one of these (its
+    ``cache`` attribute).
     """
 
     make_key = staticmethod(ScheduleCache.make_key)
@@ -965,7 +962,8 @@ class TieredScheduleStore:
         memory tier holds nothing the disk does not already have)."""
         if self.disk is None:
             raise ServiceError(
-                "this store stack has no persistent tier to snapshot"
+                "this store has no persistent tier to snapshot (build it "
+                "with disk=, or the service with store_dir=)"
             )
         return self.disk.snapshot()
 
@@ -1010,75 +1008,6 @@ class TieredScheduleStore:
         )
 
 
-def mount_store(
-    store: Optional[object] = None,
-    store_dir: Optional[Union[str, Path]] = None,
-    cache: Optional[ScheduleCache] = None,
-    cache_capacity: int = 1024,
-    namespace: str = DEFAULT_NAMESPACE,
-) -> Tuple[object, Optional[DiskScheduleStore]]:
-    """Resolve the ``cache=``/``store=``/``store_dir=`` service knobs.
-
-    Returns ``(mounted, owned_disk_store)`` where ``mounted`` satisfies
-    the cache protocol and ``owned_disk_store`` is the
-    :class:`DiskScheduleStore` the caller must close (only when
-    ``store_dir`` was given — a ``store`` passed in stays caller-owned).
-
-    * ``store_dir`` — open (or create) a :class:`DiskScheduleStore`
-      there and stack a fresh LRU over its ``namespace``;
-    * ``store`` — a :class:`DiskScheduleStore` gets the same stacking
-      (shared, not owned); anything else cache-protocol shaped (a
-      :class:`TieredScheduleStore`, a bare cache) mounts as-is;
-    * ``cache`` — mounts as-is (the pre-store behavior);
-    * none of the three — a private LRU of ``cache_capacity`` entries.
-
-    At most one of the three sources may be supplied.
-    """
-    supplied = [
-        name
-        for name, value in (
-            ("cache", cache),
-            ("store", store),
-            ("store_dir", store_dir),
-        )
-        if value is not None
-    ]
-    if len(supplied) > 1:
-        raise ServiceError(
-            f"supply at most one of cache=/store=/store_dir=, got "
-            f"{'+'.join(supplied)}"
-        )
-    if store_dir is not None:
-        owned = DiskScheduleStore(store_dir)
-        return (
-            TieredScheduleStore(
-                disk=owned.namespace(namespace),
-                memory_capacity=cache_capacity,
-            ),
-            owned,
-        )
-    if store is not None:
-        if isinstance(store, DiskScheduleStore):
-            return (
-                TieredScheduleStore(
-                    disk=store.namespace(namespace),
-                    memory_capacity=cache_capacity,
-                ),
-                None,
-            )
-        if not callable(getattr(store, "get", None)) or not callable(
-            getattr(store, "put", None)
-        ):
-            raise ServiceError(
-                "store= must be a DiskScheduleStore or satisfy the "
-                "ScheduleCache protocol (get/put/invalidate_options)"
-            )
-        return store, None
-    if cache is not None:
-        return cache, None
-    return ScheduleCache(cache_capacity), None
-
-
 __all__ = [
     "DEFAULT_NAMESPACE",
     "DiskScheduleStore",
@@ -1087,5 +1016,4 @@ __all__ = [
     "StoreNamespace",
     "TieredScheduleStore",
     "TieredStoreStats",
-    "mount_store",
 ]

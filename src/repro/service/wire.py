@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclasses_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import WireFormatError
-from repro.graphs.dag import ComputationalGraph, OpNode
+from repro.graphs.dag import ComputationalGraph, OpNode, resource_value
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.scheduling.schedule import Schedule
 
@@ -305,9 +305,11 @@ def _graph_to_payload(graph: ComputationalGraph) -> dict:
             [
                 node.name,
                 node.op_type,
-                node.param_bytes,
-                node.output_bytes,
-                node.macs,
+                # Plain ints for JSON (numpy integers are legal node
+                # fields), coerced exactly as the fingerprint reads them.
+                resource_value(node, "param_bytes"),
+                resource_value(node, "output_bytes"),
+                resource_value(node, "macs"),
                 [
                     [_encode_value(k, where), _encode_value(v, where)]
                     for k, v in node.attrs.items()

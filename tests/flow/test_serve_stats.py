@@ -67,3 +67,56 @@ def test_abandoned_services_fold_without_retention(graph):
     assert stats.requests == rounds
     assert stats.cache_hits == rounds - 1
     assert stats.scheduled_graphs == 1
+
+
+class _CountingList:
+    """ListScheduler with a fixed options key and a shared solve counter."""
+
+    method_name = "list_scheduling"
+    solves = 0
+
+    def options_fingerprint(self):
+        return "counting-list-v1"
+
+    def schedule(self, graph, num_stages):
+        type(self).solves += 1
+        return ListScheduler().schedule(graph, num_stages)
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_store_dir_namespaces_and_warm_start(tmp_path, num_shards):
+    from repro.service import DiskScheduleStore
+
+    graphs = [
+        quantize_graph(sample_synthetic_dag(num_nodes=12, degree=2, seed=s))
+        for s in range(4)
+    ]
+    _CountingList.solves = 0
+    methods = serve_methods(
+        {"list": _CountingList}, store_dir=str(tmp_path), num_shards=num_shards
+    )
+    expected = {}
+    with methods["list"]() as service:
+        cold = [service.schedule(g, 2) for g in graphs]
+        for graph in graphs:
+            namespace = (
+                f"list/shard-{service.shard_index(graph)}"
+                if num_shards > 1
+                else "list"
+            )
+            expected[namespace] = expected.get(namespace, 0) + 1
+    methods["list"].schedule_store.close()
+    assert _CountingList.solves == len(graphs)
+    with DiskScheduleStore(tmp_path) as store:
+        assert {ns: store.count(ns) for ns in store.namespaces()} == expected
+
+    # A later serve_methods over the same directory solves nothing.
+    methods = serve_methods(
+        {"list": _CountingList}, store_dir=str(tmp_path), num_shards=num_shards
+    )
+    with methods["list"]() as service:
+        warm = [service.schedule(g, 2) for g in graphs]
+    methods["list"].schedule_store.close()
+    assert _CountingList.solves == len(graphs)
+    for before, after in zip(cold, warm):
+        assert before.schedule.assignment == after.schedule.assignment

@@ -162,16 +162,21 @@ class TestShardedDegradeLadder:
         finally:
             tier.close()
 
-    def test_legacy_fallback_records_fallback_rung(self):
+    def test_no_ladder_records_floor_rung(self):
         tier = self._saturated_tier(None)
         try:
             futures = [tier.submit(_graph(seed=s), 3) for s in range(4)]
             results = [f.result(timeout=30.0) for f in futures]
             degraded = [r for r in results if r.extras.get("degraded")]
             assert degraded
-            assert all(
-                r.extras["degrade_rung"] == "fallback" for r in degraded
+            assert all(r.extras["degrade_rung"] == "floor" for r in degraded)
+            registry = tier.telemetry.registry
+            assert (
+                registry.counter_total("respect_degrade_rung_total", rung="floor")
+                == len(degraded)
+                == registry.counter_total("respect_degrade_rung_total")
             )
+            assert 'rung="fallback"' not in registry.render_prometheus()
         finally:
             tier.close()
 

@@ -15,9 +15,12 @@ from repro.errors import SchedulingError, ServiceError
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.rl.respect import RespectScheduler
 from repro.scheduling.schedule import Schedule, ScheduleResult
+from repro.scheduling.heuristics import ListScheduler
 from repro.service import (
+    DiskScheduleStore,
     ScheduleCache,
     SchedulingService,
+    TieredScheduleStore,
     scheduler_options_key,
 )
 
@@ -165,6 +168,55 @@ class TestServiceBasics:
             results = service.schedule_batch(graphs, 3)
         assert len(results) == len(graphs)
         assert scheduler.schedule_calls == len(graphs)
+
+
+class TestStoreArguments:
+    def test_store_and_store_dir_are_mutually_exclusive(self, tmp_path):
+        with pytest.raises(ServiceError, match="not both"):
+            SchedulingService(
+                FakeScheduler(), store=TieredScheduleStore(), store_dir=tmp_path
+            )
+
+    def test_store_must_be_a_tiered_store(self, tmp_path):
+        with pytest.raises(ServiceError, match="TieredScheduleStore"):
+            SchedulingService(FakeScheduler(), store=ScheduleCache(8))
+        with DiskScheduleStore(tmp_path) as disk:
+            with pytest.raises(ServiceError, match="TieredScheduleStore"):
+                SchedulingService(FakeScheduler(), store=disk)
+
+    def test_caller_owned_store_is_mounted_as_is(self, graphs):
+        store = TieredScheduleStore(memory_capacity=4)
+        with SchedulingService(FakeScheduler(), store=store) as service:
+            assert service.cache is store
+            service.schedule(graphs[0], 3)
+        assert len(store) == 1
+
+    def test_memory_only_counters_match_a_bare_lru(self, graphs):
+        # Pinned from the service's previous memory-only cache (a bare
+        # ScheduleCache): LRU of 2 over this sequence gives 2 hits, 7
+        # misses and 5 evictions, then invalidation drops the 2 live
+        # entries and one more miss re-fills one.
+        order = [0, 0, 1, 2, 0, 3, 1, 1, 2]
+        scheduler = ListScheduler()
+        with SchedulingService(
+            scheduler, cache_capacity=2, batch_window_s=0.0
+        ) as service:
+            for i in order:
+                service.schedule(graphs[i], 3)
+            options_key = scheduler_options_key(scheduler)
+            assert service.invalidate_options(options_key) == 2
+            service.schedule(graphs[2], 3)
+            cache = service.stats().cache
+            registry = service.telemetry.registry
+        assert (
+            cache.hits, cache.misses, cache.size, cache.evictions,
+            cache.invalidations, cache.capacity,
+        ) == (2, 8, 1, 5, 2, 2)
+        assert {
+            tier: registry.counter_total("respect_tier_lookups_total", tier=tier)
+            for tier in ("memory", "disk", "miss")
+        } == {"memory": 2, "disk": 0, "miss": 8}
+        assert service.schedule_store is None
 
 
 class TestMicroBatching:
@@ -507,12 +559,12 @@ class TestRespectEquivalence:
 
     def test_shared_cache_requires_matching_options(self, respect):
         graph = sample_synthetic_dag(num_nodes=12, degree=3, seed=1)
-        cache = ScheduleCache(capacity=8)
-        with SchedulingService(respect, cache=cache) as service:
+        store = TieredScheduleStore(memory_capacity=8)
+        with SchedulingService(respect, store=store) as service:
             service.schedule(graph, 4)
         other = RespectScheduler(policy=respect.policy, budget_slack=1.5)
-        with SchedulingService(other, cache=cache) as service:
+        with SchedulingService(other, store=store) as service:
             result = service.schedule(graph, 4)
         # Different packer options never alias the first entry.
         assert result.extras["cache_hit"] is False
-        assert len(cache) == 2
+        assert len(store) == 2

@@ -21,6 +21,7 @@ from repro.service import (
     ScheduleCache,
     SchedulingService,
     ShardedSchedulingService,
+    TieredScheduleStore,
     build_hash_ring,
     shard_for_fingerprint,
 )
@@ -124,15 +125,17 @@ class TestConstruction:
             ShardedSchedulingService(FakeScheduler(), max_queue_depth=0)
         with pytest.raises(ServiceError):
             ShardedSchedulingService(FakeScheduler(), admission="panic")
-        with pytest.raises(ServiceError):
+
+    def test_stores_must_be_one_tiered_store_per_shard(self):
+        with pytest.raises(ServiceError, match="one entry per shard"):
             ShardedSchedulingService(
-                FakeScheduler(), num_shards=2, caches=[ScheduleCache(8)]
+                FakeScheduler(), num_shards=2, stores=[TieredScheduleStore()]
             )
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="TieredScheduleStore"):
             ShardedSchedulingService(
                 FakeScheduler(),
-                admission="degrade",
-                fallback_scheduler=object(),
+                num_shards=2,
+                stores=[ScheduleCache(8), ScheduleCache(8)],
             )
 
 
@@ -282,14 +285,12 @@ class TestAdmission:
                 release.wait(timeout=10)
                 return super().schedule(graph, num_stages)
 
-        fallback = ListScheduler()
         seen = []
         service = ShardedSchedulingService(
             Gated(),
             num_shards=1,
             max_queue_depth=1,
             admission="degrade",
-            fallback_scheduler=fallback,
             batch_window_s=0.0,
         )
         try:
@@ -301,7 +302,9 @@ class TestAdmission:
             assert degraded.done()  # answered inline, no queueing
             result = degraded.result(timeout=1)
             assert result.extras["degraded"] is True
-            expected = fallback.schedule(graphs[1], NUM_STAGES)
+            # No ladder: the floor rung's ListScheduler answers.
+            assert result.extras["degrade_rung"] == "floor"
+            expected = ListScheduler().schedule(graphs[1], NUM_STAGES)
             assert result.schedule.assignment == expected.schedule.assignment
             assert result.schedule.graph is graphs[1]
             # The degraded serve was observed by the tier listener.
@@ -456,15 +459,6 @@ class TestAdmission:
                 future.result(timeout=10)
         finally:
             release.set()
-            service.close()
-
-    def test_default_degrade_fallback_is_list_scheduler(self, graphs):
-        service = ShardedSchedulingService(
-            FakeScheduler(), admission="degrade"
-        )
-        try:
-            assert isinstance(service.fallback_scheduler, ListScheduler)
-        finally:
             service.close()
 
 

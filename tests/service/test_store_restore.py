@@ -173,13 +173,13 @@ class TestShardedServiceRestore:
 
     def test_store_and_caches_are_mutually_exclusive(self, tmp_path):
         from repro.errors import ServiceError
-        from repro.service import ScheduleCache
+        from repro.service import TieredScheduleStore
 
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="not both"):
             ShardedSchedulingService(
                 CountingScheduler(),
                 num_shards=2,
-                caches=[ScheduleCache(4), ScheduleCache(4)],
+                stores=[TieredScheduleStore(), TieredScheduleStore()],
                 store_dir=tmp_path,
             )
 

@@ -9,6 +9,7 @@ frame kind, unsupported attr types — must raise a
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import WireFormatError
@@ -80,6 +81,24 @@ class TestGraphRoundTrip:
                 scheduler.schedule(decoded, 4).schedule.assignment
                 == scheduler.schedule(graph, 4).schedule.assignment
             )
+
+    def test_numpy_int_resources_encode_as_their_plain_twin(self):
+        def one_node(cast):
+            g = ComputationalGraph(name="np")
+            g.add_op(
+                "a",
+                op_type="conv2d",
+                param_bytes=cast(5),
+                output_bytes=cast(7),
+                macs=cast(11),
+            )
+            return g
+
+        plain, numpy_ints = one_node(int), one_node(np.int64)
+        decoded = wire.decode_graph(wire.encode_graph(numpy_ints))
+        assert graph_fingerprint(decoded) == graph_fingerprint(plain)
+        assert wire.encode_graph(numpy_ints) == wire.encode_graph(plain)
+        assert type(decoded.node("a").param_bytes) is int
 
     def test_unsupported_attr_type_is_rejected_at_encode(self):
         g = ComputationalGraph(name="bad")
