@@ -18,14 +18,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     branch and ``x`` on the negative one), so results are bit-identical
     to a masked two-pass evaluation while avoiding its fancy-indexing
     gather/scatter, which dominates on the small arrays of a decode step.
-    ``exp`` never overflows (its argument is ``<= 0``).  The arithmetic
-    runs in the input dtype and the result widens to float64 afterwards,
-    matching the former implementation's compute-then-assign semantics
-    bit for bit.
+    ``-|x|`` is one ``copysign`` and the branch selects the numerator
+    before a single division; both are exact rewrites, so the floats are
+    those of negating ``abs`` and dividing on each branch.  ``exp`` never
+    overflows (its argument is ``<= 0``).  The arithmetic runs in the
+    input dtype and the result widens to float64 afterwards, matching
+    the former implementation's compute-then-assign semantics bit for
+    bit.
     """
-    z = np.exp(-np.abs(x))
-    one_plus = 1.0 + z
-    out = np.where(x >= 0, 1.0 / one_plus, z / one_plus)
+    z = np.exp(np.copysign(x, -1.0))
+    out = np.where(x >= 0, 1.0, z) / (1.0 + z)
     return out.astype(float, copy=False)
 
 

@@ -44,16 +44,46 @@ class LSTMCell(Module):
         c = np.zeros((batch, self.hidden_size))
         return h, c
 
+    def recurrent_weights(self, dtype) -> Tuple[np.ndarray, np.ndarray]:
+        """``(w_h, bias)`` cast to ``dtype`` for :meth:`forward_from_projection`.
+
+        A fresh cast per call, never cached: ``load_state_dict``,
+        ``cast`` and optimizer steps replace or update the parameters, so
+        an inference loop takes these once per decode.  Casting a float32
+        ``w_h`` up front is exact and gives ``h @ w_h`` the same float64
+        operand numpy would otherwise build on every step.
+        """
+        return (
+            self.w_h.value.astype(dtype, copy=False),
+            self.bias.value.astype(dtype, copy=False),
+        )
+
+    def _gates(
+        self, z: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, f, g, o)`` from the pre-activation ``z`` (``[B, 4H]``).
+
+        One sigmoid over all of ``z`` serves the three sigmoid gates:
+        the function is elementwise, so each slice holds the floats a
+        sigmoid of that slice alone would give, at a third of the numpy
+        calls.  The cell-gate quarter of that output is unused; ``g`` is
+        ``tanh`` of its own slice.
+        """
+        hidden = self.hidden_size
+        s = F.sigmoid(z)
+        return (
+            s[:, :hidden],
+            s[:, hidden : 2 * hidden],
+            F.tanh(z[:, 2 * hidden : 3 * hidden]),
+            s[:, 3 * hidden :],
+        )
+
     def forward(
         self, x: np.ndarray, h: np.ndarray, c: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, Cache]:
         """One step: returns ``(h_next, c_next, cache)``."""
-        hidden = self.hidden_size
         z = x @ self.w_x.value + h @ self.w_h.value + self.bias.value
-        i = F.sigmoid(z[:, :hidden])
-        f = F.sigmoid(z[:, hidden : 2 * hidden])
-        g = F.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = F.sigmoid(z[:, 3 * hidden :])
+        i, f, g, o = self._gates(z)
         c_next = f * c + i * g
         tanh_c = F.tanh(c_next)
         h_next = o * tanh_c
@@ -65,26 +95,34 @@ class LSTMCell(Module):
         return h_next, c_next, cache
 
     def forward_from_projection(
-        self, x_proj: np.ndarray, h: np.ndarray, c: np.ndarray
+        self,
+        x_proj: np.ndarray,
+        h: np.ndarray,
+        c: np.ndarray,
+        w_h: np.ndarray,
+        bias: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cacheless step from a precomputed input projection ``x @ w_x``.
 
         Inference loops hoist the input projection of *every* step into
         one large GEMM (``[B*T, in] @ [in, 4H]`` instead of ``T`` skinny
-        matmuls) and feed the per-step slices here.  The gate math keeps
-        :meth:`forward`'s exact association order
-        ``(x_proj + h @ w_h) + bias``, so given a bitwise-equal
-        ``x_proj`` the returned state is bitwise-equal to
-        :meth:`forward`'s — the property the scheduling service's
-        bit-identical-schedules guarantee rests on.  No cache is built;
-        this path cannot be backpropagated.
+        matmuls) and feed the per-step slices here, with the recurrent
+        weights from :meth:`recurrent_weights` cast once to the state
+        dtype.  The gate math keeps :meth:`forward`'s exact association
+        order ``(x_proj + h @ w_h) + bias`` and shares its gate helper,
+        so given a bitwise-equal ``x_proj`` the returned state is
+        bitwise-equal to :meth:`forward`'s — the property the scheduling
+        service's bit-identical-schedules guarantee rests on.  No cache
+        is built; this path cannot be backpropagated.
+
+        The state stays float64 even for a float32 inference clone:
+        ``initial_state`` is float64 and the sigmoid widens, and that is
+        the arithmetic every shipped schedule was decoded with.  A
+        float32 state would round every step differently, so it could
+        not reproduce those bits.
         """
-        hidden = self.hidden_size
-        z = x_proj + h @ self.w_h.value + self.bias.value
-        i = F.sigmoid(z[:, :hidden])
-        f = F.sigmoid(z[:, hidden : 2 * hidden])
-        g = F.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = F.sigmoid(z[:, 3 * hidden :])
+        z = x_proj + h @ w_h + bias
+        i, f, g, o = self._gates(z)
         c_next = f * c + i * g
         h_next = o * F.tanh(c_next)
         return h_next, c_next

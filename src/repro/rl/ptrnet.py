@@ -139,7 +139,9 @@ class PointerNetworkPolicy(Module):
         *schedulable* nodes — those whose parents have all been picked.
         This is how the pointer decoder "reinforces the dependency
         constraints among nodes": any decoded order is then a valid
-        topological order of the DAG.
+        topological order of the DAG.  A row left with no selectable
+        node while it still has real nodes (cyclic precedence) raises
+        :class:`~repro.errors.TrainingError` naming the row and step.
 
         ``lengths`` (optional, ``[B]`` int) enables *padded* batches of
         graphs with different node counts: row ``b`` treats only its
@@ -257,6 +259,10 @@ class PointerNetworkPolicy(Module):
                 # trailing actions are sliced off by the caller.
                 finished = i >= lengths
                 mask[finished, 0] = True
+            if remaining is not None:
+                stuck = np.flatnonzero(~mask.any(axis=1))
+                if stuck.size:
+                    raise TrainingError(_stuck_message(int(stuck[0]), i))
             glimpse_vec, glimpse_cache = self.glimpse.forward(
                 contexts, dh, mask, ref=glimpse_ref
             )
@@ -345,19 +351,43 @@ class PointerNetworkPolicy(Module):
           and the shipped checkpoint's ``hidden_size=64`` (float32
           inference clone).  Other widths can differ in the last bits —
           with ``hidden_size=33`` and batch 8, some random policies pick
-          different actions than ``forward``;
+          different actions than ``forward``.  The pinned widths are
+          exact on the BLAS kernels the tests run on; on OpenBLAS's AVX2
+          kernels (``OPENBLAS_CORETYPE=Haswell`` or ``Zen``) the float32
+          GEMM at ``hidden_size=64`` moves ``log_prob`` in the last bits
+          against ``forward``, and a padded row's ``log_prob`` can differ
+          from its solo decode even without hoisting;
+        * the recurrent weights ``w_h`` and ``bias`` of both LSTMs are
+          cast to the state dtype once per call
+          (:meth:`LSTMCell.recurrent_weights`).  The state is float64
+          even for the float32 inference clone, so ``forward`` up-casts
+          ``w_h`` inside every ``h @ w_h``; the cast is exact and the
+          matmul then sees the same float64 operand;
+        * length masking (``np.where`` on the encoder state, dummy picks
+          in the decoder) only starts at step ``lengths.min()``: before
+          it every row is active and the masking is the identity;
         * the decoder input becomes a row gather of that projection
           instead of an embedding gather followed by a per-step matmul;
+        * the selectable set is incremental, so a step touches only the
+          pick's children, not the ``[B, T, T]`` precedence.  Each row
+          keeps its list of ready nodes, every real node's children and
+          its count of unpicked parents; a pick removes one node and
+          readies the children whose count reaches zero, updating the
+          ``[B, T]`` mask in place at just those columns.  The mask the
+          attention reads is therefore the one ``forward`` builds.  A row with no ready node that still has
+          real nodes left (cyclic precedence) raises
+          :class:`~repro.errors.TrainingError` naming the row and step;
         * attention heads run cacheless and the per-step probability
           array (``exp`` of the full ``[B, T]`` log-softmax, unused by
           greedy decoding) is never materialized — the selected actions'
           log-probabilities are gathered straight from the shifted
           logits;
         * *forced* rows skip both attention heads.  A row is forced at a
-          step when it has exactly one selectable column — the common
-          case on DNN graphs, whose topological ready set is almost
-          always a single node; a finished padded row (only its dummy
-          position 0 selectable) is forced too.  The skip is exact: with
+          step when it has exactly one ready node — the common case on
+          DNN graphs, whose topological ready set is almost always a
+          single node; a finished padded row (only its dummy position 0
+          left) is forced too.  A forced pick is read off the ready list
+          without any numpy call.  The skip is exact: with
           one unmasked column its shifted logit is ``0`` and every other
           column sits at ``MASK_LOGIT - logit`` (about ``-1e9``; pointer
           logits are bounded by ``logit_clip`` or by the tanh
@@ -375,6 +405,10 @@ class PointerNetworkPolicy(Module):
           weighted sum still run over all ``T`` columns: summing a subset
           would regroup the additions once three or more columns are
           selectable and could move ``log_prob``.
+
+        ``tests/rl/test_decode_differential.py`` keeps the previous
+        implementation of this method verbatim and checks that actions
+        and ``log_prob`` stay byte-identical to it.
 
         The returned rollout carries no caches and cannot be
         ``backward``-ed; training unrolls must use :meth:`forward`.
@@ -400,7 +434,6 @@ class PointerNetworkPolicy(Module):
                 raise TrainingError(
                     f"lengths must lie in [1, {num_nodes}], got {lengths}"
                 )
-        remaining: Optional[np.ndarray] = None
         if precedence is not None:
             precedence = np.asarray(precedence, dtype=bool)
             if precedence.shape != (batch, num_nodes, num_nodes):
@@ -408,7 +441,6 @@ class PointerNetworkPolicy(Module):
                     f"precedence must be [batch, nodes, nodes], got "
                     f"{precedence.shape}"
                 )
-            remaining = precedence.sum(axis=2).astype(int)  # unmet parents
 
         hidden = self.hidden_size
         emb = features @ self.w_emb.value + self.b_emb.value  # [B, T, H]
@@ -428,6 +460,12 @@ class PointerNetworkPolicy(Module):
                 batch, num_nodes, 4 * hidden
             )
         h, c = self.encoder.initial_state(batch)
+        enc_w_h, enc_bias = self.encoder.recurrent_weights(h.dtype)
+        dec_w_h, dec_bias = self.decoder.recurrent_weights(h.dtype)
+        sizes = [num_nodes] * batch if lengths is None else lengths.tolist()
+        # Before step ``min(sizes)`` every row is still active, so the
+        # length masking has nothing to do.
+        all_active = min(sizes)
         context_list: List[np.ndarray] = []
         for t in range(num_nodes):
             h_next, c_next = self.encoder.forward_from_projection(
@@ -436,8 +474,10 @@ class PointerNetworkPolicy(Module):
                 else emb[:, t, :] @ self.encoder.w_x.value,
                 h,
                 c,
+                enc_w_h,
+                enc_bias,
             )
-            if lengths is not None:
+            if t >= all_active:
                 active = (t < lengths)[:, None]
                 h_next = np.where(active, h_next, h)
                 c_next = np.where(active, c_next, c)
@@ -457,49 +497,51 @@ class PointerNetworkPolicy(Module):
         # projecting: a 1-D ``d0 @ w_x`` takes a different BLAS path and
         # is not bitwise-equal to the tiled 2-D product ``forward`` uses.
         x_proj = np.tile(self.d0.value, (batch, 1)) @ self.decoder.w_x.value
-        visited = np.zeros((batch, num_nodes), dtype=bool)
-        if lengths is not None:
-            visited |= np.arange(num_nodes)[None, :] >= lengths[:, None]
+        mask, ready, children, unmet = _ready_sets(precedence, sizes, num_nodes)
         log_prob = np.zeros(batch)
         actions_out = np.zeros((batch, num_nodes), dtype=int)
         rows = np.arange(batch)
         for i in range(num_nodes):
-            dh, dc = self.decoder.forward_from_projection(x_proj, dh, dc)
-            mask = ~visited
-            if remaining is not None:
-                mask &= remaining == 0
-            finished: Optional[np.ndarray] = None
-            if lengths is not None:
-                finished = i >= lengths
-                mask[finished, 0] = True
-            # Forced rows (one selectable column) pick it with
-            # log-probability exactly 0.0; only the other rows run the
-            # attention heads (see the docstring).
-            acts = np.argmax(mask, axis=1)
-            live = np.flatnonzero(np.count_nonzero(mask, axis=1) != 1)
-            if live.size:
+            dh, dc = self.decoder.forward_from_projection(
+                x_proj, dh, dc, dec_w_h, dec_bias
+            )
+            # Forced rows (one ready node) take it with log-probability
+            # exactly 0.0, finished rows their dummy position 0; only the
+            # other rows run the attention heads (see the docstring).
+            picks = [0] * batch
+            live: List[int] = []
+            for b in range(batch):
+                row_ready = ready[b]
+                if len(row_ready) == 1:
+                    picks[b] = row_ready[0]
+                elif row_ready:
+                    live.append(b)
+                elif i < sizes[b]:
+                    raise TrainingError(_stuck_message(b, i))
+            if live:
                 if glimpse_ref is None:
                     glimpse_ref = self.glimpse.attention.precompute_ref(contexts)
                     pointer_ref = self.pointer.precompute_ref(contexts)
                     scratch_dtype = np.result_type(glimpse_ref, dh)
                     glimpse_scratch = np.zeros(glimpse_ref.shape, scratch_dtype)
                     pointer_scratch = np.zeros(pointer_ref.shape, scratch_dtype)
-                live_mask = mask[live]
+                live_rows = np.array(live)
+                live_mask = mask[live_rows]
                 # Only the columns some live row can pick are scored.
                 cols = np.flatnonzero(live_mask.any(axis=0))
                 g_scores = self.glimpse.attention.scores(
-                    dh, glimpse_ref, live, cols, glimpse_scratch
+                    dh, glimpse_ref, live_rows, cols, glimpse_scratch
                 )
                 weights = F.masked_softmax(g_scores, live_mask)
                 # Forced rows' glimpses stay zero: the pointer's query
                 # projection runs over the whole batch, and their scores
                 # are never read.
                 glimpse_vec = np.zeros_like(dh)
-                glimpse_vec[live] = np.einsum(
-                    "bt,bth->bh", weights, contexts[live]
+                glimpse_vec[live_rows] = np.einsum(
+                    "bt,bth->bh", weights, contexts[live_rows]
                 )
                 logits = self.pointer.scores(
-                    glimpse_vec, pointer_ref, live, cols, pointer_scratch
+                    glimpse_vec, pointer_ref, live_rows, cols, pointer_scratch
                 )
                 masked_logits = np.where(live_mask, logits, F.MASK_LOGIT)
                 live_acts = np.argmax(masked_logits, axis=1)
@@ -509,17 +551,27 @@ class PointerNetworkPolicy(Module):
                 shifted = masked_logits - np.max(
                     masked_logits, axis=1, keepdims=True
                 )
-                acts[live] = live_acts
-                log_prob[live] += shifted[
-                    np.arange(live.size), live_acts
+                log_prob[live_rows] += shifted[
+                    np.arange(live_rows.size), live_acts
                 ] - np.log(np.sum(np.exp(shifted), axis=1))
-            actions_out[:, i] = acts
-            visited[rows, acts] = True
-            if remaining is not None:
-                delta = precedence[rows, :, acts].astype(int)
-                if finished is not None:
-                    delta[finished] = 0  # dummy picks must not corrupt
-                remaining -= delta
+                for b, node in zip(live, live_acts.tolist()):
+                    picks[b] = node
+            actions_out[:, i] = picks
+            # Retire each real pick: its children lose an unmet parent
+            # and join the ready list (and the mask) when none is left.
+            # Dummy picks of finished rows change nothing.
+            for b in range(batch):
+                if i < sizes[b]:
+                    node = picks[b]
+                    ready[b].remove(node)
+                    mask[b, node] = False
+                    row_unmet = unmet[b]
+                    for child in children[b][node]:
+                        row_unmet[child] -= 1
+                        if not row_unmet[child]:
+                            ready[b].append(child)
+                            mask[b, child] = True
+            acts = np.array(picks)
             x_proj = (
                 dec_proj[rows, acts, :]
                 if dec_proj is not None
@@ -624,6 +676,54 @@ class PointerNetworkPolicy(Module):
             "hidden_size": self.hidden_size,
             "logit_clip": self.logit_clip,
         }
+
+
+def _stuck_message(row: int, step: int) -> str:
+    return (
+        f"batch row {row} has no selectable node at decode step {step} "
+        f"although real nodes remain: its precedence is cyclic (or names "
+        f"a padded position as a parent)"
+    )
+
+
+def _ready_sets(
+    precedence: Optional[np.ndarray], sizes: List[int], num_nodes: int
+):
+    """Initial bookkeeping of :meth:`PointerNetworkPolicy.greedy_decode`.
+
+    Returns ``(mask, ready, children, unmet)``: the ``[B, T]`` bool mask
+    of selectable columns, and per row the list of ready nodes, each
+    real node's children (the nodes naming it as a parent) and each real
+    node's count of parents not yet picked.  Parents at padded positions
+    are counted but never picked, so like in :meth:`forward` such a node
+    never becomes ready.  ``precedence=None`` makes every real node ready.
+    """
+    mask = np.zeros((len(sizes), num_nodes), dtype=bool)
+    ready: List[List[int]] = []
+    children: List[List[List[int]]] = []
+    unmet: List[List[int]] = []
+    for b, size in enumerate(sizes):
+        if precedence is None:
+            counts = [0] * size
+            kids: List[List[int]] = [[] for _ in range(size)]
+        else:
+            # flatnonzero + divmod: a 2-D ``np.nonzero`` is ~10x slower.
+            child, parent = np.divmod(
+                np.flatnonzero(precedence[b, :size]), num_nodes
+            )
+            counts = np.bincount(child, minlength=size).tolist()
+            by_parent = np.argsort(parent, kind="stable")
+            bounds = np.searchsorted(
+                parent[by_parent], np.arange(size + 1)
+            ).tolist()
+            flat = child[by_parent].tolist()
+            kids = [flat[bounds[j] : bounds[j + 1]] for j in range(size)]
+        row_ready = [node for node in range(size) if not counts[node]]
+        mask[b, row_ready] = True
+        ready.append(row_ready)
+        children.append(kids)
+        unmet.append(counts)
+    return mask, ready, children, unmet
 
 
 def _probs_minus_onehot(step: _StepCache, coeff: np.ndarray) -> np.ndarray:

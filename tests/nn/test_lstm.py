@@ -99,3 +99,87 @@ class TestBackward:
         np.testing.assert_allclose(
             numeric_grad(loss, cell.w_h.value), cell.w_h.grad, atol=1e-6
         )
+
+
+def _sigmoid_per_gate(x):
+    # The previous ``F.sigmoid``, applied per gate slice as before the
+    # gates were fused.
+    z = np.exp(-np.abs(x))
+    one_plus = 1.0 + z
+    return np.where(x >= 0, 1.0 / one_plus, z / one_plus).astype(float, copy=False)
+
+
+def _per_gate_step(cell, x, h, c):
+    """The previous three-sigmoid gate math of ``LSTMCell.forward``."""
+    hidden = cell.hidden_size
+    z = x @ cell.w_x.value + h @ cell.w_h.value + cell.bias.value
+    i = _sigmoid_per_gate(z[:, :hidden])
+    f = _sigmoid_per_gate(z[:, hidden : 2 * hidden])
+    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+    o = _sigmoid_per_gate(z[:, 3 * hidden :])
+    c_next = f * c + i * g
+    tanh_c = np.tanh(c_next)
+    cache = {"x": x, "h": h, "c": c, "i": i, "f": f, "g": g, "o": o,
+             "tanh_c": tanh_c}
+    return o * tanh_c, c_next, cache
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFusedGates:
+    """One sigmoid over all four gates gives the per-gate floats."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch,hidden", [(1, 6), (3, 6), (1, 64), (5, 64)])
+    def test_forward_and_backward_match_per_gate_math(
+        self, rng, dtype, batch, hidden
+    ):
+        cell = LSTMCell(4, hidden, rng=3)
+        cell.cast(dtype)
+        x = rng.normal(scale=3.0, size=(batch, 4)).astype(dtype)
+        h0, c0 = cell.initial_state(batch)
+        h0 = h0 + rng.normal(size=h0.shape)
+        c0 = c0 + rng.normal(size=c0.shape)
+        h, c, cache = cell.forward(x, h0, c0)
+        want_h, want_c, want_cache = _per_gate_step(cell, x, h0, c0)
+        assert _same_bytes(h, want_h) and _same_bytes(c, want_c)
+        for key in ("i", "f", "g", "o", "tanh_c"):
+            assert _same_bytes(np.ascontiguousarray(cache[key]), want_cache[key])
+
+        dh = rng.normal(size=h.shape)
+        dc = rng.normal(size=c.shape)
+        cell.zero_grad()
+        got = cell.backward(dh, dc, cache)
+        got_grads = [p.grad.copy() for p in (cell.w_x, cell.w_h, cell.bias)]
+        cell.zero_grad()
+        want = cell.backward(dh, dc, want_cache)
+        want_grads = [p.grad for p in (cell.w_x, cell.w_h, cell.bias)]
+        for a, b in zip(list(got) + got_grads, list(want) + want_grads):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_projection_step_matches_forward(self, rng, dtype):
+        cell = LSTMCell(5, 8, rng=4)
+        cell.cast(dtype)
+        h, c = cell.initial_state(3)
+        w_h, bias = cell.recurrent_weights(h.dtype)
+        assert w_h.dtype == bias.dtype == h.dtype
+        h_ref, c_ref = h, c
+        for _ in range(4):
+            x = rng.normal(size=(3, 5)).astype(dtype)
+            h, c = cell.forward_from_projection(x @ cell.w_x.value, h, c, w_h, bias)
+            h_ref, c_ref, _ = cell.forward(x, h_ref, c_ref)
+            assert _same_bytes(h, h_ref) and _same_bytes(c, c_ref)
+
+    def test_recurrent_weights_are_not_cached(self):
+        # The cast follows the live parameters (no stale copy after an
+        # update or a load_state_dict).
+        cell = LSTMCell(2, 3, rng=0)
+        cell.cast(np.float32)
+        before, _ = cell.recurrent_weights(np.float64)
+        cell.w_h.value += 1.0
+        after, _ = cell.recurrent_weights(np.float64)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, cell.w_h.value.astype(np.float64))

@@ -95,6 +95,61 @@ class TestPrecedenceMask:
             )
 
 
+class TestCyclicPrecedence:
+    """A row that cannot finish raises instead of repeating a node."""
+
+    @staticmethod
+    def cyclic_precedence(batch=1, num_nodes=4, row=0):
+        # Nodes 1 and 2 each name the other as a parent: after node 0
+        # and node 3 (no parents) the row has real nodes left but none
+        # is selectable.
+        precedence = np.zeros((batch, num_nodes, num_nodes), dtype=bool)
+        precedence[row, 1, 2] = precedence[row, 2, 1] = True
+        return precedence
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_greedy_decode_names_row_and_step(self, tiny_policy, rng, dtype):
+        tiny_policy.cast(dtype)
+        feats = rng.normal(size=(1, 4, 4))
+        with pytest.raises(TrainingError, match=r"row 0 .* step 2\b"):
+            tiny_policy.greedy_decode(feats, precedence=self.cyclic_precedence())
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_forward_names_row_and_step(self, tiny_policy, rng, mode):
+        feats = rng.normal(size=(1, 4, 4))
+        with pytest.raises(TrainingError, match=r"row 0 .* step 2\b"):
+            tiny_policy.forward(
+                feats, mode=mode, precedence=self.cyclic_precedence(), rng=0
+            )
+
+    def test_stuck_row_in_a_padded_batch(self, tiny_policy, rng):
+        # Row 0 is fine; row 1 is stuck after its two parentless nodes.
+        feats = rng.normal(size=(2, 4, 4))
+        precedence = self.cyclic_precedence(batch=2, row=1)
+        lengths = np.array([4, 4])
+        for decode in (
+            lambda: tiny_policy.greedy_decode(
+                feats, precedence=precedence, lengths=lengths
+            ),
+            lambda: tiny_policy.forward(
+                feats, precedence=precedence, lengths=lengths
+            ),
+        ):
+            with pytest.raises(TrainingError, match=r"row 1 .* step 2\b"):
+                decode()
+
+    def test_padded_parent_never_becomes_ready(self, tiny_policy, rng):
+        # A real node naming a padded position as its parent can never
+        # be scheduled either.
+        feats = rng.normal(size=(2, 4, 4))
+        precedence = np.zeros((2, 4, 4), dtype=bool)
+        precedence[1, 0, 3] = True
+        with pytest.raises(TrainingError, match=r"row 1 .* step 2\b"):
+            tiny_policy.greedy_decode(
+                feats, precedence=precedence, lengths=np.array([4, 3])
+            )
+
+
 class TestBackward:
     def test_full_bptt_gradient_check(self, rng):
         """Finite-difference check of the entire policy backward pass."""
