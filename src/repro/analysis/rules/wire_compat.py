@@ -37,8 +37,11 @@ from repro.analysis.core import Finding, Project, Rule
 
 __all__ = ["WireCompatRule"]
 
-#: The frozen wire contract (PR 6 introduced kinds 1-5; PR 7 added the
-#: store kinds 6-7; PR 8 bumped the version to 2 for trace fields).
+#: The frozen wire contract: kinds 1-5 came with the decode workers,
+#: kinds 6-7 with the persistent store; version 2 added trace fields and
+#: version 3 made decode requests carry encoder tensors.  Every version
+#: still opens; only the in-flight decode request refuses frames older
+#: than v3.
 FROZEN_KINDS: Dict[str, int] = {
     "KIND_GRAPH": 1,
     "KIND_DECODE_REQUEST": 2,
@@ -49,7 +52,7 @@ FROZEN_KINDS: Dict[str, int] = {
     "KIND_STORE_TOMBSTONE": 7,
 }
 
-FROZEN_SUPPORTED_VERSIONS: Tuple[int, ...] = (1, 2)
+FROZEN_SUPPORTED_VERSIONS: Tuple[int, ...] = (1, 2, 3)
 
 DEFAULT_WIRE_PATH = "src/repro/service/wire.py"
 

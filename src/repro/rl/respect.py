@@ -234,21 +234,31 @@ class RespectScheduler:
 
     # ------------------------------------------------------------------
     def _decode_batch(self, graphs: Sequence[ComputationalGraph]):
-        """One padded greedy decode over ``graphs``.
+        """Embed ``graphs`` and run :meth:`_decode_queues` over them.
 
-        Returns ``(queues, rollout, lengths)``; row ``b``'s real actions
-        are ``rollout.actions[b, :lengths[b]]``.
+        Returns ``(queues, rollout, lengths)``.
         """
         queues: List[EncoderQueue] = [
             build_encoder_queue(graph, self.embedding_config) for graph in graphs
         ]
+        rollout, lengths = self._decode_queues(queues)
+        return queues, rollout, lengths
+
+    def _decode_queues(self, queues: Sequence[EncoderQueue]):
+        """One padded greedy decode over already-embedded ``queues``.
+
+        The one decode path: in-process calls reach it through
+        :meth:`_decode_batch`, decode workers with the queues a request
+        carried.  Returns ``(rollout, lengths)``; row ``b``'s real
+        actions are ``rollout.actions[b, :lengths[b]]``.
+        """
         features, precedence, lengths = pad_queues(queues)
         rollout = self._inference_policy.greedy_decode(
             features,
             precedence=precedence if self.constrain_topological else None,
             lengths=lengths,
         )
-        return queues, rollout, lengths
+        return rollout, lengths
 
     def decode_orders(
         self, graphs: Sequence[ComputationalGraph]

@@ -1,33 +1,45 @@
 """Compact, versioned wire format for cross-process scheduling payloads.
 
-Decode worker processes (:mod:`repro.service.workers`) must exchange
-graphs, decode requests/responses and schedules with the serving parent
-without pickling live object graphs — pickle ties the payload to the
-sender's class layout, hides cost, and cannot be validated.  This module
-defines a small framed format instead:
+Decode worker processes (:mod:`repro.service.workers`) exchange decode
+requests/responses with the serving parent, and the persistent schedule
+store (:mod:`repro.service.store`) writes schedules and tombstones to
+segment files.  Neither pickles live objects: pickle ties the payload to
+the sender's class layout, hides cost, and cannot be validated.  Every
+payload travels in one framed format instead:
 
 ``RSPW | version | kind | payload length | crc32 | payload``
 
-The header is fixed-width (:data:`WIRE_VERSION` bumps on layout
-changes; every version in :data:`SUPPORTED_WIRE_VERSIONS` still
-decodes, so a store segment or in-flight frame written by an older
-build keeps working); the payload is canonical UTF-8 JSON with *tagged* value
-encoding, so every attr type the graph fingerprint distinguishes
-(``int`` vs ``float`` vs ``bool``, ``tuple`` vs ``list``, ``set`` /
-``frozenset``, ``dict``, ``bytes``) survives a round trip exactly.
-Every way a payload can be bad — truncation, foreign bytes, a version
-from a different build, checksum corruption, an unsupported value type —
-raises :class:`~repro.errors.WireFormatError` naming the violation.
+The header is fixed-width.  :data:`WIRE_VERSION` bumps on layout
+changes.  Every version in :data:`SUPPORTED_WIRE_VERSIONS` still opens,
+so a store segment written by an older build keeps replaying.  Every
+way a frame can be bad (truncation, foreign bytes, a version from a
+different build, checksum corruption, the wrong kind, a malformed
+payload) raises :class:`~repro.errors.WireFormatError` naming the
+violation.
 
-Graph payloads are **content-addressed**: the sender's
-:func:`~repro.graphs.fingerprint.graph_fingerprint` is embedded, and
-:func:`decode_graph` recomputes the fingerprint of the reconstruction
-and refuses to return a graph whose identity drifted.  Reconstruction
-replays edges in an order that reproduces both each node's parent
-insertion order (what the fingerprint and the embedding consume) *and*
-each node's child insertion order (what Kahn's-algorithm tie-breaking
-consumes), so the decoded graph is schedule-equivalent to the original,
-not merely fingerprint-equal.
+Payloads come in two shapes:
+
+* **Tagged JSON** (graphs, options, schedules, responses, store
+  entries).  Canonical UTF-8 JSON whose containers carry a type tag, so
+  every attr type the graph fingerprint distinguishes (``int`` vs
+  ``float`` vs ``bool``, ``tuple`` vs ``list``, ``set``/``frozenset``,
+  ``dict``, ``bytes``) survives a round trip exactly.  Graph payloads
+  are content-addressed: :func:`decode_graph` recomputes the
+  reconstruction's fingerprint and refuses a graph whose identity
+  drifted.  Edge replay reproduces both adjacency orderings, so a
+  decoded graph schedules like the original.
+* **Encoder tensors** (decode requests, since wire v3).  The greedy
+  decode needs only each graph's encoder queue: features, precedence
+  and node names.  The parent embeds each graph once and ships a small
+  JSON header (options key, trace context, embedding config, node names)
+  followed by raw little-endian float64 features and the bit-packed
+  ``[n, n]`` precedence of every queue.  float64 is what
+  :func:`~repro.embedding.queue.pad_queues` feeds the decoder, so the
+  worker decodes exactly the arrays the in-process path would.  The
+  worker rebuilds the queues with ``np.frombuffer``/``np.unpackbits``
+  after checking every length; it builds no graph and computes no
+  fingerprint.  Decode requests only ever exist in flight, so v1/v2
+  request frames (which carried whole graphs) are rejected, not decoded.
 """
 
 from __future__ import annotations
@@ -35,9 +47,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import asdict, dataclass, field as dataclasses_field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.embedding.features import EmbeddingConfig
+from repro.embedding.queue import EncoderQueue, build_encoder_queue
 from repro.errors import WireFormatError
 from repro.graphs.dag import ComputationalGraph, OpNode, resource_value
 from repro.graphs.fingerprint import graph_fingerprint
@@ -50,12 +66,19 @@ MAGIC = b"RSPW"
 #: mixed-version processes fail loudly instead of mis-decoding each
 #: other's payloads.  v2 added optional trace-context fields to decode
 #: requests (``trace``) and responses (``spans``) for cross-process
-#: span propagation.
-WIRE_VERSION = 2
+#: span propagation.  v3 made decode requests carry encoder tensors
+#: instead of graphs.
+WIRE_VERSION = 3
 
-#: Versions this build can still *decode*.  v1 frames carry no trace
-#: fields; decoding them yields ``trace=None`` / ``spans=[]``.
-SUPPORTED_WIRE_VERSIONS = (1, 2)
+#: Versions whose frames this build still opens.  Every kind but the
+#: decode request decodes from all of them (v1 responses carry no
+#: spans; decoding them yields ``spans=[]``).
+SUPPORTED_WIRE_VERSIONS = (1, 2, 3)
+
+#: First version whose decode requests carry encoder tensors.  Older
+#: request frames carried whole graphs; requests only live in flight,
+#: so those are rejected rather than decoded.
+_TENSOR_REQUEST_VERSION = 3
 
 #: Frame kinds.  A frame decoded as the wrong kind is an error, not a
 #: guess — the kind byte is how a worker distinguishes a request from a
@@ -117,14 +140,22 @@ def frame_info(header: bytes) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def _frame(kind: int, payload_obj: object) -> bytes:
-    payload = json.dumps(payload_obj, separators=(",", ":")).encode("utf-8")
+def _json_bytes(payload_obj: object) -> bytes:
+    return json.dumps(payload_obj, separators=(",", ":")).encode("utf-8")
+
+
+def _frame_bytes(kind: int, payload: bytes) -> bytes:
     return _HEADER.pack(
         MAGIC, WIRE_VERSION, kind, len(payload), zlib.crc32(payload)
     ) + payload
 
 
-def _unframe(data: object, expected_kind: int) -> dict:
+def _frame(kind: int, payload_obj: object) -> bytes:
+    return _frame_bytes(kind, _json_bytes(payload_obj))
+
+
+def _unframe_bytes(data: object, expected_kind: int) -> Tuple[int, bytes]:
+    """Check a frame's header and checksum; ``(version, payload)``."""
     if isinstance(data, (bytearray, memoryview)):
         data = bytes(data)
     if not isinstance(data, bytes):
@@ -159,15 +190,23 @@ def _unframe(data: object, expected_kind: int) -> dict:
             f"frame holds a {_KIND_NAMES.get(kind, f'kind-{kind}')} payload, "
             f"expected {_KIND_NAMES[expected_kind]}"
         )
+    return version, payload
+
+
+def _json_object(payload: bytes, what: str = "payload") -> dict:
     try:
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise WireFormatError(
-            f"payload passed its checksum but is not valid JSON: {exc}"
+            f"{what} passed its checksum but is not valid JSON: {exc}"
         ) from exc
     if not isinstance(obj, dict):
-        raise WireFormatError("payload root must be a JSON object")
+        raise WireFormatError(f"{what} root must be a JSON object")
     return obj
+
+
+def _unframe(data: object, expected_kind: int) -> dict:
+    return _json_object(_unframe_bytes(data, expected_kind)[1])
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +363,7 @@ def _graph_to_payload(graph: ComputationalGraph) -> dict:
     }
 
 
-def _graph_from_payload(payload: dict, verify_fingerprint: bool = True) -> ComputationalGraph:
+def _graph_from_payload(payload: dict) -> ComputationalGraph:
     name = payload.get("name")
     nodes = payload.get("nodes")
     edges = payload.get("edges")
@@ -378,14 +417,13 @@ def _graph_from_payload(payload: dict, verify_fingerprint: bool = True) -> Compu
             raise WireFormatError(
                 f"graph payload holds an invalid edge {entry!r}: {exc}"
             ) from exc
-    if verify_fingerprint:
-        declared = payload.get("fingerprint")
-        actual = graph_fingerprint(graph)
-        if declared != actual:
-            raise WireFormatError(
-                f"graph fingerprint mismatch after decode: payload declares "
-                f"{declared!r}, reconstruction hashes to {actual!r}"
-            )
+    declared = payload.get("fingerprint")
+    actual = graph_fingerprint(graph)
+    if declared != actual:
+        raise WireFormatError(
+            f"graph fingerprint mismatch after decode: payload declares "
+            f"{declared!r}, reconstruction hashes to {actual!r}"
+        )
     return graph
 
 
@@ -394,11 +432,9 @@ def encode_graph(graph: ComputationalGraph) -> bytes:
     return _frame(KIND_GRAPH, _graph_to_payload(graph))
 
 
-def decode_graph(data: bytes, verify_fingerprint: bool = True) -> ComputationalGraph:
-    """Reconstruct a graph; verifies the embedded fingerprint by default."""
-    return _graph_from_payload(
-        _unframe(data, KIND_GRAPH), verify_fingerprint=verify_fingerprint
-    )
+def decode_graph(data: bytes) -> ComputationalGraph:
+    """Reconstruct a graph; verifies the embedded fingerprint."""
+    return _graph_from_payload(_unframe(data, KIND_GRAPH))
 
 
 # ----------------------------------------------------------------------
@@ -430,24 +466,25 @@ def decode_options(data: bytes) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 @dataclass
 class DecodeRequest:
-    """A batch of graphs for one worker-side greedy decode.
+    """A batch of encoder queues for one worker-side greedy decode.
 
+    ``queues`` are what the sender's
+    :func:`~repro.embedding.queue.build_encoder_queue` produced, byte for
+    byte.  ``embedding_config`` is the config that embedded them; a
+    worker refuses a request whose config differs from its scheduler's.
     ``options_key`` carries the sender's scheduler
     ``options_fingerprint()``; workers compare it against the fingerprint
     of the scheduler they rebuilt from the published weights epoch, so a
     request can never silently run under the wrong weights or options.
     """
 
-    graphs: List[ComputationalGraph]
+    queues: List[EncoderQueue]
+    embedding_config: EmbeddingConfig
     options_key: Optional[str] = None
     #: Optional ``{"trace_id": str, "span_id": str}`` span context from
-    #: the sender (wire v2).  Workers parent their decode sub-spans to
-    #: ``span_id`` and ship them back in the response.
+    #: the sender.  Workers parent their decode sub-spans to ``span_id``
+    #: and ship them back in the response.
     trace: Optional[Dict[str, str]] = None
-
-    @property
-    def fingerprints(self) -> List[str]:
-        return [graph_fingerprint(g) for g in self.graphs]
 
 
 @dataclass
@@ -478,41 +515,161 @@ def _validate_trace_context(trace: object) -> Optional[Dict[str, str]]:
     return {"trace_id": trace["trace_id"], "span_id": trace["span_id"]}
 
 
+#: Length prefix of a decode request's JSON header.
+_REQUEST_HEADER_LEN = struct.Struct("<I")
+
+#: Byte order and width of shipped features: what ``pad_queues`` feeds
+#: the decoder.
+_FEATURE_DTYPE = np.dtype("<f8")
+
+
 def encode_decode_request(
     graphs: Sequence[ComputationalGraph],
     options_key: Optional[str] = None,
     trace: Optional[Dict[str, str]] = None,
+    embedding_config: Optional[EmbeddingConfig] = None,
 ) -> bytes:
-    """Serialize a decode batch; each graph carries its fingerprint."""
+    """Embed ``graphs`` and serialize their encoder queues as one batch.
+
+    ``embedding_config=None`` means ``EmbeddingConfig()``, the same
+    default as :func:`~repro.embedding.queue.build_encoder_queue`.
+    """
     graphs = list(graphs)
     if not graphs:
         raise WireFormatError("a decode request must carry at least one graph")
-    payload = {
+    if embedding_config is None:
+        embedding_config = EmbeddingConfig()
+    queues = [build_encoder_queue(graph, embedding_config) for graph in graphs]
+    header = {
         "options_key": options_key,
-        "graphs": [_graph_to_payload(g) for g in graphs],
+        "embedding": asdict(embedding_config),
+        "feature_dim": embedding_config.feature_dim,
+        "node_names": [queue.node_names for queue in queues],
     }
     trace = _validate_trace_context(trace)
     if trace is not None:
-        payload["trace"] = trace
-    return _frame(KIND_DECODE_REQUEST, payload)
+        header["trace"] = trace
+    header_bytes = _json_bytes(header)
+    parts = [_REQUEST_HEADER_LEN.pack(len(header_bytes)), header_bytes]
+    for queue in queues:
+        parts.append(queue.features.astype(_FEATURE_DTYPE, copy=False).tobytes())
+        parts.append(np.packbits(queue.precedence, axis=None).tobytes())
+    return _frame_bytes(KIND_DECODE_REQUEST, b"".join(parts))
+
+
+def _embedding_from_header(raw: object) -> EmbeddingConfig:
+    """The request's :class:`EmbeddingConfig`, every field type-checked."""
+    if not isinstance(raw, dict):
+        raise WireFormatError(
+            f"decode request embedding must be an object, got {raw!r}"
+        )
+    defaults = EmbeddingConfig()
+    names = [f.name for f in fields(EmbeddingConfig)]
+    if sorted(raw) != sorted(names):
+        raise WireFormatError(
+            f"decode request embedding has fields {sorted(raw)}, expected "
+            f"{sorted(names)}"
+        )
+    for name in names:
+        if type(raw[name]) is not type(getattr(defaults, name)):
+            raise WireFormatError(
+                f"decode request embedding field {name}={raw[name]!r} is "
+                f"not a {type(getattr(defaults, name)).__name__}"
+            )
+    if raw["max_parents"] < 0:
+        raise WireFormatError(
+            f"decode request embedding max_parents={raw['max_parents']} "
+            f"is negative"
+        )
+    return EmbeddingConfig(**raw)
 
 
 def decode_decode_request(data: bytes) -> DecodeRequest:
-    """Inverse of :func:`encode_decode_request` (fingerprints verified)."""
-    payload = _unframe(data, KIND_DECODE_REQUEST)
-    entries = payload.get("graphs")
-    if not isinstance(entries, list) or not entries:
-        raise WireFormatError("decode request carries no graphs")
-    options_key = payload.get("options_key")
+    """Inverse of :func:`encode_decode_request`.
+
+    Every header field and array length is checked before an array is
+    built.  The queues' features are read-only views over the frame's
+    bytes.
+    """
+    version, payload = _unframe_bytes(data, KIND_DECODE_REQUEST)
+    if version < _TENSOR_REQUEST_VERSION:
+        raise WireFormatError(
+            f"decode request frame has wire version {version}; this build "
+            f"decodes requests from version {_TENSOR_REQUEST_VERSION} on "
+            f"(older requests carried graphs; resend from a current build)"
+        )
+    prefix = _REQUEST_HEADER_LEN.size
+    if len(payload) < prefix:
+        raise WireFormatError("decode request payload misses its header length")
+    (header_len,) = _REQUEST_HEADER_LEN.unpack_from(payload)
+    if header_len > len(payload) - prefix:
+        raise WireFormatError(
+            f"decode request header declares {header_len} bytes, payload "
+            f"holds {len(payload) - prefix} after the length prefix"
+        )
+    header = _json_object(
+        payload[prefix : prefix + header_len], "decode request header"
+    )
+    options_key = header.get("options_key")
     if options_key is not None and not isinstance(options_key, str):
         raise WireFormatError("decode request options_key must be a string")
-    trace = _validate_trace_context(payload.get("trace"))
-    graphs = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise WireFormatError(f"malformed graph payload: {entry!r}")
-        graphs.append(_graph_from_payload(entry))
-    return DecodeRequest(graphs=graphs, options_key=options_key, trace=trace)
+    trace = _validate_trace_context(header.get("trace"))
+    config = _embedding_from_header(header.get("embedding"))
+    feature_dim = header.get("feature_dim")
+    if type(feature_dim) is not int or feature_dim != config.feature_dim:
+        raise WireFormatError(
+            f"decode request features are {feature_dim!r} wide but its "
+            f"embedding config produces {config.feature_dim}"
+        )
+    all_names = header.get("node_names")
+    if not isinstance(all_names, list) or not all_names:
+        raise WireFormatError("decode request carries no graphs")
+    # Per queue: (feature bytes, bit-packed precedence bytes).
+    sizes = []
+    for b, names in enumerate(all_names):
+        if not isinstance(names, list) or not names:
+            raise WireFormatError(
+                f"decode request graph {b} has no node names"
+            )
+        if not all(isinstance(name, str) for name in names):
+            raise WireFormatError(
+                f"decode request graph {b} has a non-string node name"
+            )
+        n = len(names)
+        sizes.append(
+            (n * feature_dim * _FEATURE_DTYPE.itemsize, (n * n + 7) // 8)
+        )
+    offset = prefix + header_len
+    expected = offset + sum(f + p for f, p in sizes)
+    if len(payload) != expected:
+        raise WireFormatError(
+            f"decode request array region is {len(payload) - offset} bytes; "
+            f"{len(all_names)} queues of feature dim {feature_dim} "
+            f"need exactly {expected - offset}"
+        )
+    queues = []
+    for names, (feature_bytes, packed_bytes) in zip(all_names, sizes):
+        n = len(names)
+        features = np.frombuffer(
+            payload, dtype=_FEATURE_DTYPE, count=n * feature_dim,
+            offset=offset,
+        ).reshape(n, feature_dim)
+        offset += feature_bytes
+        packed = np.frombuffer(
+            payload, dtype=np.uint8, count=packed_bytes, offset=offset
+        )
+        offset += packed_bytes
+        precedence = np.unpackbits(packed, count=n * n).reshape(n, n)
+        queues.append(
+            EncoderQueue(
+                node_names=names, features=features,
+                precedence=precedence.view(bool),
+            )
+        )
+    return DecodeRequest(
+        queues=queues, embedding_config=config, options_key=options_key,
+        trace=trace,
+    )
 
 
 def encode_decode_response(

@@ -10,7 +10,7 @@ decode into *processes*:
     A pool of spawn-safe worker processes.  Each worker loads the policy
     weights **once** per published *weights epoch* (from a checkpoint the
     pool writes via :mod:`repro.rl.checkpoints`), then serves decode
-    batches arriving as compact :mod:`repro.service.wire` payloads over
+    batches arriving as :mod:`repro.service.wire` decode requests over
     its own duplex pipe.  Per-worker pipes — not one shared queue — are
     what makes crash recovery sound: a ``multiprocessing.Queue`` reader
     blocked in ``get()`` *holds the queue's shared lock*, so killing it
@@ -25,8 +25,14 @@ decode into *processes*:
     A drop-in scheduler adapter: same ``schedule`` / ``schedule_batch``
     interface and **bit-identical outputs** as the wrapped
     :class:`~repro.rl.respect.RespectScheduler`, but the greedy decode
-    runs in the pool.  The ``rho`` packing and post-processing stay
-    in-process (they are cheap and graph-object bound).
+    runs in the pool.  The split follows the data: the parent embeds
+    each graph into its encoder queue (features, precedence, node
+    names) and ships the queues; the worker runs
+    ``RespectScheduler._decode_queues``, the same padded decode the
+    in-process path runs, and returns node orders and log-probs.  The
+    ``rho`` packing and post-processing stay in-process (they are cheap
+    and graph-object bound).  No graph crosses the pipe, so the worker
+    neither rebuilds nor fingerprints one.
 
 **Bit-identity as a checked invariant.**  The worker does not trust that
 it rebuilt the right scheduler: after loading a weights epoch it
@@ -34,10 +40,13 @@ recomputes ``options_fingerprint()`` — which hashes the frozen float32
 inference weights, the embedding configuration and every packing option —
 and refuses to serve if it differs from the fingerprint recorded at
 publish time.  Every decode request additionally carries the sender's
-fingerprint, so a request can never silently run under the wrong weights
-(e.g. mid hot-swap).  Together with the float32 weight round-trip being
-lossless (f32 -> f64 sidecar load -> f32 cast), worker-decoded schedules
-are bit-identical to in-process ones by construction, not by luck.
+fingerprint and the embedding config its queues were built with, so a
+request can never silently run under the wrong weights (e.g. mid hot
+swap) or decode features embedded differently.  The queues arrive as the
+exact float64 bytes the parent's embedding produced, and the float32
+weight round trip is lossless (f32 -> f64 sidecar load -> f32 cast), so
+worker-decoded schedules are bit-identical to in-process ones by
+construction, not by luck.
 
 **Hot swap.**  :meth:`DecodeWorkerPool.publish_scheduler` assigns a fresh
 monotonically increasing *weights epoch* and persists the scheduler's
@@ -137,9 +146,18 @@ class _WorkerDecoder:
                 f"{request.options_key[:12]}... but weights epoch "
                 f"{self.epoch} holds {fingerprint[:12]}..."
             )
-        queues, rollout, lengths = self.scheduler._decode_batch(  # type: ignore[attr-defined]
-            request.graphs
-        )
+        # The options key covers the embedding config, but a request may
+        # carry no key, and two configs can share a feature dim: check
+        # the config that embedded the queues directly.
+        expected = self.scheduler.embedding_config  # type: ignore[attr-defined]
+        if request.embedding_config != expected:
+            raise DecodeWorkerError(
+                f"decode request was embedded with "
+                f"{request.embedding_config} but weights epoch "
+                f"{self.epoch} embeds with {expected}"
+            )
+        queues = request.queues
+        rollout, lengths = self.scheduler._decode_queues(queues)  # type: ignore[attr-defined]
         orders = [
             queue.names_for(rollout.actions[b, : lengths[b]])
             for b, queue in enumerate(queues)
@@ -163,7 +181,7 @@ class _WorkerDecoder:
                     "attrs": {
                         "pid": os.getpid(),
                         "epoch": self.epoch,
-                        "batch_size": len(request.graphs),
+                        "batch_size": len(queues),
                     },
                 }
             ]
@@ -719,11 +737,11 @@ class WorkerDecodeScheduler:
 
     Wraps a :class:`~repro.rl.respect.RespectScheduler` (``inner``) whose
     weights were published to ``pool`` as ``epoch``.  ``schedule`` /
-    ``schedule_batch`` serialize the graphs to wire format, decode in a
-    worker process, then pack and post-process *in-process* with the
-    inner scheduler's exact options — so results are bit-identical to
-    calling the inner scheduler directly (the worker checks this, see
-    the module docstring).
+    ``schedule_batch`` embed the graphs, ship their encoder queues in
+    one wire decode request, decode in a worker process, then pack and
+    post-process *in-process* with the inner scheduler's exact options
+    — so results are bit-identical to calling the inner scheduler
+    directly (the worker checks this, see the module docstring).
 
     ``options_fingerprint()`` delegates to the inner scheduler: cache
     keys are unchanged by where the decode runs, which is precisely the
@@ -785,7 +803,10 @@ class WorkerDecodeScheduler:
                 "span_id": roundtrip.span_id,
             }
         payload = wire.encode_decode_request(
-            graphs, options_key=self.options_fingerprint(), trace=trace_ctx
+            graphs,
+            options_key=self.options_fingerprint(),
+            trace=trace_ctx,
+            embedding_config=self._inner.embedding_config,  # type: ignore[attr-defined]
         )
         try:
             raw = self._pool.submit(payload, epoch=self._epoch, span=roundtrip)

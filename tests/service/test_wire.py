@@ -1,23 +1,33 @@
 """Tests for the versioned wire format (:mod:`repro.service.wire`).
 
 Round trips must preserve graph identity *exactly* (content fingerprint
-and both adjacency orderings), and every way a payload can be bad —
-truncation, foreign bytes, version skew, checksum corruption, the wrong
-frame kind, unsupported attr types — must raise a
-:class:`~repro.errors.WireFormatError` that names the violation.
+and both adjacency orderings), decode requests must hand the worker the
+sender's encoder queues byte for byte, and every way a payload can be
+bad — truncation, foreign bytes, version skew, checksum corruption, the
+wrong frame kind, unsupported attr types, inconsistent array lengths —
+must raise a :class:`~repro.errors.WireFormatError` that names the
+violation.
 """
 
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.embedding.features import EmbeddingConfig
+from repro.embedding.queue import build_encoder_queue
 from repro.errors import WireFormatError
+from repro.graphs import fingerprint as fingerprint_module
 from repro.graphs.dag import ComputationalGraph
 from repro.graphs.fingerprint import graph_fingerprint
 from repro.graphs.sampler import sample_synthetic_dag
+from repro.models.zoo import FIG4_MODELS, build_model
 from repro.scheduling.heuristics import ListScheduler
 from repro.service import wire
+from repro.service.wire import StoreEntryRecord
+from repro.tpu.quantize import quantize_graph
 
 
 @pytest.fixture
@@ -151,14 +161,164 @@ class TestFraming:
         assert wire._HEADER.size == struct.calcsize("<4sBBQI")
 
 
+def reseal(kind: int, body: bytes, version: int = wire.WIRE_VERSION) -> bytes:
+    """A frame around ``body`` with a correct length and checksum."""
+    return wire._HEADER.pack(
+        wire.MAGIC, version, kind, len(body), zlib.crc32(body)
+    ) + body
+
+
+def split_request(data: bytes):
+    """A decode request frame as ``(header dict, array region bytes)``."""
+    body = data[wire.HEADER_SIZE :]
+    (length,) = struct.unpack_from("<I", body)
+    header = json.loads(body[4 : 4 + length])
+    return header, body[4 + length :]
+
+
+def join_request(header: dict, arrays: bytes) -> bytes:
+    head = json.dumps(header, separators=(",", ":")).encode()
+    return reseal(
+        wire.KIND_DECODE_REQUEST, struct.pack("<I", len(head)) + head + arrays
+    )
+
+
+def assert_queues_equal(decoded, expected):
+    assert len(decoded) == len(expected)
+    for got, want in zip(decoded, expected):
+        assert got.node_names == want.node_names
+        assert got.features.dtype == np.float64
+        assert got.features.shape == want.features.shape
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.precedence.dtype == bool
+        assert np.array_equal(got.precedence, want.precedence)
+
+
+@pytest.fixture(scope="module")
+def fig4_graphs():
+    return [quantize_graph(build_model(model)) for model in FIG4_MODELS]
+
+
+def serve_shaped_graphs():
+    return [
+        sample_synthetic_dag(num_nodes=n, degree=d, seed=100 * n + d)
+        for n in (30, 60, 90)
+        for d in (2, 3, 4)
+    ]
+
+
 class TestDecodeRequestResponse:
     def test_request_round_trip_carries_options_key(self, graphs):
         data = wire.encode_decode_request(graphs, options_key="abc123")
         request = wire.decode_decode_request(data)
         assert request.options_key == "abc123"
-        assert request.fingerprints == [
-            graph_fingerprint(g) for g in graphs
-        ]
+        assert request.trace is None
+        assert request.embedding_config == EmbeddingConfig()
+        assert_queues_equal(
+            request.queues, [build_encoder_queue(g) for g in graphs]
+        )
+
+    def test_fig4_queues_round_trip_exactly(self, fig4_graphs):
+        for graph in fig4_graphs:
+            request = wire.decode_decode_request(
+                wire.encode_decode_request([graph])
+            )
+            assert_queues_equal(request.queues, [build_encoder_queue(graph)])
+
+    def test_serve_shaped_batch_round_trips_exactly(self):
+        graphs = serve_shaped_graphs()
+        request = wire.decode_decode_request(
+            wire.encode_decode_request(graphs)
+        )
+        assert_queues_equal(
+            request.queues, [build_encoder_queue(g) for g in graphs]
+        )
+
+    def test_non_default_embedding_config_round_trips(self, graphs):
+        config = EmbeddingConfig(max_parents=3, include_memory=False)
+        data = wire.encode_decode_request(
+            graphs, embedding_config=config,
+            trace={"trace_id": "t1", "span_id": "s1"},
+        )
+        request = wire.decode_decode_request(data)
+        assert request.embedding_config == config
+        assert request.trace == {"trace_id": "t1", "span_id": "s1"}
+        assert_queues_equal(
+            request.queues, [build_encoder_queue(g, config) for g in graphs]
+        )
+
+    def test_decode_builds_no_graph_and_no_fingerprint(
+        self, graphs, monkeypatch
+    ):
+        data = wire.encode_decode_request(graphs)
+        calls = []
+
+        def forbidden(name):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called while decoding")
+
+            return spy
+
+        monkeypatch.setattr(
+            ComputationalGraph, "__init__", forbidden("ComputationalGraph")
+        )
+        monkeypatch.setattr(
+            fingerprint_module, "graph_fingerprint", forbidden("fingerprint")
+        )
+        monkeypatch.setattr(
+            wire, "graph_fingerprint", forbidden("fingerprint")
+        )
+        request = wire.decode_decode_request(data)
+        assert len(request.queues) == len(graphs)
+        assert calls == []
+
+    def test_flipped_array_byte_fails_the_checksum(self, graphs):
+        data = bytearray(wire.encode_decode_request(graphs))
+        data[-5] ^= 0x01
+        with pytest.raises(WireFormatError, match="checksum mismatch"):
+            wire.decode_decode_request(bytes(data))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_resealed_wrong_array_length_is_rejected(self, graphs, delta):
+        header, arrays = split_request(wire.encode_decode_request(graphs))
+        arrays = arrays[:-1] if delta < 0 else arrays + b"\x00"
+        with pytest.raises(WireFormatError, match="array region"):
+            wire.decode_decode_request(join_request(header, arrays))
+
+    def test_non_string_node_name_is_rejected(self, graphs):
+        header, arrays = split_request(wire.encode_decode_request(graphs))
+        header["node_names"][1][0] = 7
+        with pytest.raises(WireFormatError, match="non-string node name"):
+            wire.decode_decode_request(join_request(header, arrays))
+
+    def test_empty_queue_is_rejected(self, graphs):
+        header, arrays = split_request(wire.encode_decode_request(graphs))
+        header["node_names"][0] = []
+        with pytest.raises(WireFormatError, match="no node names"):
+            wire.decode_decode_request(join_request(header, arrays))
+
+    def test_feature_dim_mismatch_is_rejected(self, graphs):
+        header, arrays = split_request(wire.encode_decode_request(graphs))
+        header["embedding"]["max_parents"] = 5
+        with pytest.raises(WireFormatError, match="embedding config produces 13"):
+            wire.decode_decode_request(join_request(header, arrays))
+
+    def test_malformed_embedding_config_is_rejected(self, graphs):
+        header, arrays = split_request(wire.encode_decode_request(graphs))
+        bad = dict(header, embedding=dict(header["embedding"], max_parents=6.0))
+        with pytest.raises(WireFormatError, match="max_parents"):
+            wire.decode_decode_request(join_request(bad, arrays))
+        bad = dict(header, embedding=dict(header["embedding"], extra=True))
+        with pytest.raises(WireFormatError, match="fields"):
+            wire.decode_decode_request(join_request(bad, arrays))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_pre_tensor_request_versions_are_rejected(self, graphs, version):
+        legacy = json.dumps({"options_key": None, "graphs": []}).encode()
+        frame = reseal(wire.KIND_DECODE_REQUEST, legacy, version=version)
+        with pytest.raises(WireFormatError, match=f"wire version {version}"):
+            wire.decode_decode_request(frame)
 
     def test_empty_request_is_rejected(self):
         with pytest.raises(WireFormatError, match="at least one graph"):
@@ -175,6 +335,24 @@ class TestDecodeRequestResponse:
     def test_inconsistent_response_is_rejected(self):
         with pytest.raises(WireFormatError, match="inconsistent"):
             wire.encode_decode_response([["a"]], [-1.0, -2.0])
+
+
+class TestOlderVersions:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_store_and_schedule_frames_still_decode(self, graphs, version):
+        record = StoreEntryRecord(
+            namespace="default", fingerprint="f" * 64, num_stages=2,
+            options_key="k", assignment={"a": 0, "b": 1}, method="respect",
+            objective=1.5, status="inference", solve_time=0.25,
+        )
+        entry = bytearray(wire.encode_store_entry(record))
+        entry[4] = version
+        assert wire.decode_store_entry(bytes(entry)) == record
+        schedule = ListScheduler().schedule(graphs[0], 4).schedule
+        frame = bytearray(wire.encode_schedule(schedule))
+        frame[4] = version
+        bound = wire.decode_schedule(bytes(frame)).bind(graphs[0])
+        assert bound.assignment == schedule.assignment
 
 
 class TestSchedule:

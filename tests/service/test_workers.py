@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.embedding.features import EmbeddingConfig
 from repro.errors import DecodeWorkerError, ServiceError
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.rl.respect import RespectScheduler
@@ -28,7 +29,9 @@ from repro.service import (
     WorkerDecodeScheduler,
     supports_worker_decode,
     unwrap_scheduler,
+    wire,
 )
+from repro.service.workers import _WorkerDecoder
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +235,37 @@ class TestFallbackAndValidation:
         with DecodeWorkerPool(1) as pool:
             with pytest.raises(ServiceError, match="no scheduler published"):
                 pool.submit(b"whatever")
+
+
+class TestWorkerSideChecks:
+    """``_WorkerDecoder.decode`` run in-process: the checks a worker
+    makes on every request, without spawning one."""
+
+    def test_matching_request_decodes_like_in_process(self, respect, graphs):
+        payload = wire.encode_decode_request(
+            graphs,
+            options_key=respect.options_fingerprint(),
+            embedding_config=respect.embedding_config,
+        )
+        response = wire.decode_decode_response(
+            _WorkerDecoder(1, respect).decode(payload)
+        )
+        _, rollout, _ = respect._decode_batch(graphs)
+        assert response.orders == respect.decode_orders(graphs)
+        assert response.log_probs == [
+            float(rollout.log_prob[b]) for b in range(len(graphs))
+        ]
+
+    def test_embedding_config_mismatch_is_refused(self, respect, graphs):
+        # Same feature dim as the default (15), different columns: only
+        # the config comparison, not a shape check, can catch it.
+        other = EmbeddingConfig(
+            max_parents=7, include_levels=False, include_node_id=False
+        )
+        assert other.feature_dim == respect.embedding_config.feature_dim
+        payload = wire.encode_decode_request(graphs, embedding_config=other)
+        with pytest.raises(DecodeWorkerError, match="embedded with"):
+            _WorkerDecoder(1, respect).decode(payload)
 
 
 class TestFaultInjection:
