@@ -38,13 +38,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-try:  # scipy ships HiGHS; numpy-only deployments can still import us.
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    sparse = None
-    Bounds = LinearConstraint = milp = None
-
 from repro.errors import InfeasibleScheduleError, SolverError
 from repro.graphs.dag import ComputationalGraph
 from repro.scheduling.schedule import (
@@ -56,6 +49,25 @@ from repro.utils.timing import Timer
 
 _OBJECTIVES = ("lexicographic", "weighted")
 _FORMULATIONS = ("step", "assignment")
+
+
+def _scipy():
+    """Return ``(sparse, Bounds, LinearConstraint, milp)`` from scipy.
+
+    scipy (HiGHS) is imported here, on first use, and nowhere else in the
+    package: ``import repro``, the scheduling service and its decode
+    workers never load it; only constructing an :class:`IlpScheduler`
+    does.  Raises :class:`SolverError` when scipy is not installed.
+    """
+    try:
+        from scipy import sparse
+        from scipy.optimize import Bounds, LinearConstraint, milp
+    except ImportError as exc:
+        raise SolverError(
+            "IlpScheduler requires scipy (HiGHS); install scipy or "
+            "use BranchAndBoundScheduler / the heuristic schedulers"
+        ) from exc
+    return sparse, Bounds, LinearConstraint, milp
 
 
 class IlpScheduler:
@@ -99,11 +111,7 @@ class IlpScheduler:
         mip_rel_gap: float = 0.0,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
-        if milp is None:
-            raise SolverError(
-                "IlpScheduler requires scipy (HiGHS); install scipy or "
-                "use BranchAndBoundScheduler / the heuristic schedulers"
-            )
+        _scipy()
         if objective not in _OBJECTIVES:
             raise SolverError(f"unknown ILP objective {objective!r}")
         if formulation not in _FORMULATIONS:
@@ -322,6 +330,7 @@ class IlpScheduler:
             total_mem,
         )
 
+        sparse, Bounds, LinearConstraint, _ = _scipy()
         matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(row, num_vars))
         constraints = LinearConstraint(matrix, np.array(lower), np.array(upper))
         integrality = np.ones(num_vars)
@@ -419,6 +428,7 @@ class IlpScheduler:
                 upper.append(cap)  # type: ignore[arg-type]
             row += 1
 
+        sparse, Bounds, LinearConstraint, _ = _scipy()
         matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(row, num_vars))
         constraints = LinearConstraint(matrix, np.array(lower), np.array(upper))
         integrality = np.ones(num_vars)
@@ -442,6 +452,7 @@ class IlpScheduler:
     def _run_milp(self, cost, constraints, integrality, bounds):
         # HiGHS defaults to a 1e-4 relative gap; pin it so "optimal" means
         # proven optimal (the BnB cross-check relies on exact agreement).
+        milp = _scipy()[3]
         options = {"time_limit": self.time_limit, "mip_rel_gap": self.mip_rel_gap}
         result = milp(
             c=cost,

@@ -13,6 +13,7 @@ so the suite shares one module-scoped pool wherever the test doesn't
 need to damage it.
 """
 
+import os
 import time
 
 import pytest
@@ -266,6 +267,25 @@ class TestWorkerSideChecks:
         payload = wire.encode_decode_request(graphs, embedding_config=other)
         with pytest.raises(DecodeWorkerError, match="embedded with"):
             _WorkerDecoder(1, respect).decode(payload)
+
+
+class TestWorkerImports:
+    def test_spawned_worker_maps_no_scipy(self, respect, graphs):
+        # scipy is the exact ILP's dependency only; a decode worker that
+        # loaded it would pay ~0.7 s and ~40 MiB before its first decode.
+        with SchedulingService(respect, decode_workers=1) as service:
+            served = service.schedule(graphs[0], 4)
+            assert served.extras["worker_decode"] is True
+            pool = service._decode_pool
+            pids = [worker.process.pid for worker in pool._workers]
+            assert pids
+            for pid in pids:
+                maps = f"/proc/{pid}/maps"
+                if not os.path.exists(maps):
+                    pytest.skip("/proc/<pid>/maps is Linux-only")
+                with open(maps) as handle:
+                    mapped = handle.read()
+                assert "/scipy/" not in mapped, pid
 
 
 class TestFaultInjection:
