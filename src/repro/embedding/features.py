@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.graphs.dag import ComputationalGraph
-from repro.graphs.topology import asap_levels
 from repro.utils.rng import stable_hash
 
 _ID_MODULUS = 2**31 - 1
@@ -96,6 +95,13 @@ def embed_graph(
     order); use :func:`repro.embedding.queue.build_encoder_queue` to keep
     the row -> node-name correspondence.
     """
+    check_embeddable(graph, config)
+    order = graph.topological_order()
+    return embed_ordered(graph, order, [graph.parents(n) for n in order], config)
+
+
+def check_embeddable(graph: ComputationalGraph, config: EmbeddingConfig) -> None:
+    """Raise :class:`EmbeddingError` when ``graph`` cannot be embedded."""
     if graph.num_nodes == 0:
         raise EmbeddingError("cannot embed an empty graph")
     if config.max_parents < 1:
@@ -103,41 +109,50 @@ def embed_graph(
     if config.feature_dim == 0:
         raise EmbeddingError("embedding config disables every column")
 
-    levels = asap_levels(graph)
+
+def embed_ordered(
+    graph: ComputationalGraph,
+    order: List[str],
+    parent_lists: List[List[str]],
+    config: EmbeddingConfig,
+) -> np.ndarray:
+    """:func:`embed_graph` given the topological ``order`` and each
+    ordered node's parents (``parent_lists[i]`` of ``order[i]``).
+
+    One pass over ``order`` derives the ASAP levels, each node's ID is
+    hashed once, and the rows are built as Python lists turned into one
+    array, so callers that also need the order (the encoder queue) walk
+    the graph only once.  Callers run :func:`check_embeddable` first.
+    """
+    levels: Dict[str, int] = {}
+    for name, parents in zip(order, parent_lists):
+        levels[name] = max([levels[p] for p in parents]) + 1 if parents else 0
     depth = max(levels.values())
     level_scale = 1.0 / max(1, depth)
     max_mem = max((n.param_bytes for n in graph.nodes), default=0)
     mem_scale = 1.0 / max(1, max_mem)
+    want_ids = config.include_parent_ids or config.include_node_id
+    ids = {name: _node_id(name) for name in order} if want_ids else {}
 
-    order = graph.topological_order()
-    rows = np.zeros((len(order), config.feature_dim))
-    for row_idx, name in enumerate(order):
-        col = 0
+    max_parents = config.max_parents
+    rows = []
+    for name, parents in zip(order, parent_lists):
+        row: List[float] = []
         if config.include_levels:
-            rows[row_idx, col] = levels[name] * level_scale
-            col += 1
-        parents = graph.parents(name)
-        if len(parents) > config.max_parents:
+            row.append(levels[name] * level_scale)
+        if len(parents) > max_parents:
             # Keep the tightest constraints: the latest-level parents.
-            parents = sorted(parents, key=lambda p: levels[p])[-config.max_parents:]
+            parents = sorted(parents, key=levels.__getitem__)[-max_parents:]
+        padding = max_parents - len(parents)
         if config.include_parent_levels:
-            for slot in range(config.max_parents):
-                if slot < len(parents):
-                    rows[row_idx, col + slot] = levels[parents[slot]] * level_scale
-                else:
-                    rows[row_idx, col + slot] = 0.0  # paper: sources use 0
-            col += config.max_parents
+            row.extend([levels[p] * level_scale for p in parents])
+            row.extend([0.0] * padding)  # paper: sources use 0
         if config.include_parent_ids:
-            for slot in range(config.max_parents):
-                if slot < len(parents):
-                    rows[row_idx, col + slot] = _node_id(parents[slot])
-                else:
-                    rows[row_idx, col + slot] = -1.0  # paper: missing ID = -1
-            col += config.max_parents
+            row.extend([ids[p] for p in parents])
+            row.extend([-1.0] * padding)  # paper: missing ID = -1
         if config.include_node_id:
-            rows[row_idx, col] = _node_id(name)
-            col += 1
+            row.append(ids[name])
         if config.include_memory:
-            rows[row_idx, col] = graph.node(name).param_bytes * mem_scale
-            col += 1
-    return rows
+            row.append(graph.node(name).param_bytes * mem_scale)
+        rows.append(row)
+    return np.array(rows, dtype=float)

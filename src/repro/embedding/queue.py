@@ -7,7 +7,11 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.embedding.features import EmbeddingConfig, embed_graph
+from repro.embedding.features import (
+    EmbeddingConfig,
+    check_embeddable,
+    embed_ordered,
+)
 from repro.errors import EmbeddingError
 from repro.graphs.dag import ComputationalGraph
 
@@ -38,13 +42,22 @@ def build_precedence_matrix(
     graph: ComputationalGraph, node_names: List[str]
 ) -> np.ndarray:
     """``P[i, j] = True`` iff ``node_names[j]`` is a parent of ``node_names[i]``."""
+    return _precedence(node_names, [graph.parents(name) for name in node_names])
+
+
+def _precedence(
+    node_names: List[str], parent_lists: List[List[str]]
+) -> np.ndarray:
+    """:func:`build_precedence_matrix` from each node's parent list,
+    set with one flat index assignment."""
+    size = len(node_names)
     position = {name: i for i, name in enumerate(node_names)}
-    matrix = np.zeros((len(node_names), len(node_names)), dtype=bool)
-    for name in node_names:
-        i = position[name]
-        for parent in graph.parents(name):
-            matrix[i, position[parent]] = True
-    return matrix
+    flat = [
+        i * size + position[p] for i, parents in enumerate(parent_lists) for p in parents
+    ]
+    matrix = np.zeros(size * size, dtype=bool)
+    matrix[flat] = True
+    return matrix.reshape(size, size)
 
 
 def pad_queues(
@@ -80,11 +93,17 @@ def build_encoder_queue(
     graph: ComputationalGraph,
     config: EmbeddingConfig = EmbeddingConfig(),
 ) -> EncoderQueue:
-    """Embed ``graph`` and keep the row -> node-name mapping."""
-    features = embed_graph(graph, config)
+    """Embed ``graph`` and keep the row -> node-name mapping.
+
+    The same queue as :func:`~repro.embedding.features.embed_graph` plus
+    :func:`build_precedence_matrix` over ``graph.topological_order()``,
+    with the order and every node's parent list computed once.
+    """
+    check_embeddable(graph, config)
     node_names = graph.topological_order()
+    parent_lists = [graph.parents(name) for name in node_names]
     return EncoderQueue(
         node_names=node_names,
-        features=features,
-        precedence=build_precedence_matrix(graph, node_names),
+        features=embed_ordered(graph, node_names, parent_lists, config),
+        precedence=_precedence(node_names, parent_lists),
     )

@@ -118,7 +118,7 @@ class AttentionHead(Module):
         """
         q = (query @ self.w_q.value + self.bias.value)[rows]  # [K, H]
         activated = scratch[: rows.size]  # [K, T, H]
-        activated[:, cols] = F.tanh(ref[np.ix_(rows, cols)] + q[:, None, :])
+        activated[:, cols] = F.tanh(ref[rows[:, None], cols] + q[:, None, :])
         raw = activated @ self.v.value  # [K, T]
         if self.logit_clip > 0:
             return self.logit_clip * F.tanh(raw / self.logit_clip)

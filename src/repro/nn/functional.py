@@ -48,9 +48,11 @@ def dtanh_from_output(y: np.ndarray) -> np.ndarray:
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    # The ufunc reductions are what ``np.max``/``np.sum`` call, minus
+    # the Python dispatch wrapper (this runs every decode step).
+    shifted = x - np.maximum.reduce(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.add.reduce(exp, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -528,7 +528,7 @@ class PointerNetworkPolicy(Module):
                 live_rows = np.array(live)
                 live_mask = mask[live_rows]
                 # Only the columns some live row can pick are scored.
-                cols = np.flatnonzero(live_mask.any(axis=0))
+                cols = live_mask.any(axis=0).nonzero()[0]
                 g_scores = self.glimpse.attention.scores(
                     dh, glimpse_ref, live_rows, cols, glimpse_scratch
                 )
@@ -544,16 +544,16 @@ class PointerNetworkPolicy(Module):
                     glimpse_vec, pointer_ref, live_rows, cols, pointer_scratch
                 )
                 masked_logits = np.where(live_mask, logits, F.MASK_LOGIT)
-                live_acts = np.argmax(masked_logits, axis=1)
+                live_acts = masked_logits.argmax(axis=1)
                 # Gathered log-softmax: the same floats as indexing
                 # ``F.log_softmax(masked_logits)`` at ``live_acts``,
                 # without the [K, T] materialization.
-                shifted = masked_logits - np.max(
+                shifted = masked_logits - np.maximum.reduce(
                     masked_logits, axis=1, keepdims=True
                 )
                 log_prob[live_rows] += shifted[
                     np.arange(live_rows.size), live_acts
-                ] - np.log(np.sum(np.exp(shifted), axis=1))
+                ] - np.log(np.add.reduce(np.exp(shifted), axis=1))
                 for b, node in zip(live, live_acts.tolist()):
                     picks[b] = node
             actions_out[:, i] = picks

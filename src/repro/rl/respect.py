@@ -95,7 +95,13 @@ class RespectScheduler:
         the unconstrained decoder (the post-processing ablation).
 
     Greedy inference runs :meth:`PointerNetworkPolicy.greedy_decode`,
-    which is bit-identical to ``forward(mode="greedy")``.
+    the rollout of ``forward(mode="greedy")`` restructured for speed.
+    Its actions and ``log_prob`` are bit-identical to ``forward``'s only
+    at the widths its tests pin (``hidden_size`` 6, and the shipped
+    checkpoint's 64 as a float32 clone) and on BLAS kernels that round
+    the hoisted projections alike; on OpenBLAS's AVX2 kernels
+    (``OPENBLAS_CORETYPE=Haswell`` or ``Zen``) batched ``log_prob`` can
+    move in the last bits (see the ``greedy_decode`` docstring).
     """
 
     method_name = "respect"
@@ -291,7 +297,10 @@ class RespectScheduler:
         post-processed per graph.  The resulting schedules are identical
         to sequential :meth:`schedule` calls — batching only amortizes
         the network cost, which is what makes repeated inference over
-        many DAGs fast.
+        many DAGs fast.  ``extras["log_prob"]`` is not: a padded row
+        takes the same actions as its solo decode, but its
+        log-probability can differ in the last bits (~1e-7) and depends
+        on the batch mates.
 
         ``num_stages`` is either one stage count shared by every graph or
         a per-graph sequence.  Each returned result reports the amortized

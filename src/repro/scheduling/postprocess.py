@@ -28,8 +28,12 @@ def repair_dependencies(schedule: Schedule) -> Schedule:
 
     Processing in topological order guarantees a single pass suffices and
     that every node moves the minimum distance forward (the paper's
-    "simply pushing the involved node forward").
+    "simply pushing the involved node forward").  A schedule without a
+    violation (every topologically constrained decode) comes back as a
+    copy without the walk.
     """
+    if schedule.is_valid():
+        return schedule.copy()
     graph = schedule.graph
     assignment: Dict[str, int] = dict(schedule.assignment)
     for name in graph.topological_order():

@@ -10,6 +10,8 @@ sequence ``gamma`` so rewards compare like with like (Eq. 3).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SchedulingError
@@ -66,24 +68,35 @@ def minimal_feasible_budget(
     Classic linear-partition bound via binary search over budgets with a
     greedy feasibility check that mirrors :func:`pack_sequence`'s stage
     advancement exactly.  The result is the optimal *contiguous* peak for
-    this particular order.
+    this particular order.  Sizes must be non-negative.
+
+    Every probed budget is at least the largest size, so a stage opened
+    at position ``i`` takes exactly the following items whose running
+    sum stays within the budget.  With non-negative sizes the prefix
+    sums are non-decreasing, so the probe finds each stage's end with
+    one ``bisect_right`` instead of walking the items.
     """
     if num_stages < 1:
         raise SchedulingError("num_stages must be at least 1")
-    low = max(mem_sizes) if mem_sizes else 0
-    high = sum(mem_sizes)
+    if min(mem_sizes, default=0) < 0:
+        position = next(i for i, size in enumerate(mem_sizes) if size < 0)
+        raise SchedulingError(
+            f"size {mem_sizes[position]} at position {position} is negative"
+        )
+    prefix = list(accumulate(mem_sizes, initial=0))
+    count = len(prefix) - 1
+    low = max(mem_sizes) if count else 0
+    high = prefix[-1]
 
     def fits(budget: int) -> bool:
-        stages = 1
-        used = 0
-        for size in mem_sizes:
-            if used > 0 and used + size > budget:
-                stages += 1
-                used = 0
-                if stages > num_stages:
-                    return False
-            used += size
-        return True
+        start = 0
+        for _ in range(num_stages):
+            # ``prefix[start + 1] <= prefix[start] + budget``, so the
+            # search can start past the stage's first item.
+            start = bisect_right(prefix, prefix[start] + budget, start + 2) - 1
+            if start >= count:
+                return True
+        return False
 
     while low < high:
         mid = (low + high) // 2
@@ -120,26 +133,31 @@ def pack_sequence(
     validate_sequence(graph, order)
     if num_stages < 1:
         raise SchedulingError("num_stages must be at least 1")
+    sizes = [graph.node(name).param_bytes for name in order]
+    if min(sizes, default=0) < 0:
+        # ``OpNode`` checks this at construction only; its fields stay
+        # mutable, and the packing (and its budget search) needs it.
+        name, size = next(
+            (name, size) for name, size in zip(order, sizes) if size < 0
+        )
+        raise SchedulingError(f"node {name!r} has negative param_bytes {size}")
     if budget_bytes is None:
         if budget_slack is not None:
             ideal = graph.total_param_bytes / max(1, num_stages)
             budget_bytes = int(ideal * budget_slack)
         else:
-            budget_bytes = minimal_feasible_budget(
-                [graph.node(n).param_bytes for n in order], num_stages
-            )
+            budget_bytes = minimal_feasible_budget(sizes, num_stages)
     if budget_bytes < 0:
         raise SchedulingError("budget_bytes must be non-negative")
 
     assignment: Dict[str, int] = {}
     stage = 0
     used = 0
-    for name in order:
-        node = graph.node(name)
+    for name, size in zip(order, sizes):
         if (
             stage < num_stages - 1
             and used > 0
-            and used + node.param_bytes > budget_bytes
+            and used + size > budget_bytes
         ):
             stage += 1
             used = 0
@@ -155,7 +173,7 @@ def pack_sequence(
                 stage = target
                 used = 0
         assignment[name] = target
-        used += node.param_bytes
+        used += size
     return Schedule(graph, num_stages, assignment)
 
 

@@ -40,7 +40,6 @@ Observers registered through
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import logging
 import threading
@@ -297,8 +296,12 @@ class ServingFacade:
         ``"block"`` admission policy — and must never stall the loop),
         and the returned future is bridged to an awaitable.  The result
         is the same bit-identical :class:`ScheduleResult` the sync path
-        serves.
+        serves.  ``asyncio`` is imported here, on first use: it pulls in
+        ``ssl`` and ``socket``, which neither the sync path nor a decode
+        worker needs.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
         future = await loop.run_in_executor(
             None, self.submit, graph, num_stages  # type: ignore[attr-defined]

@@ -1,10 +1,12 @@
-"""scipy is an optional, first-use dependency of ``IlpScheduler`` only.
+"""Heavy optional imports stay off the package and worker paths.
 
+scipy is a first-use dependency of ``IlpScheduler`` only:
 ``repro.scheduling.ilp`` imports scipy (HiGHS) inside the solver, not at
-module level, so the package, the scheduling service and the decode
-worker's whole in-process path run without loading it.  Each case runs
-in a fresh interpreter: ``sys.modules`` of the pytest process already
-holds whatever earlier tests imported.
+module level.  asyncio (with ssl) is a first-use dependency of
+``asubmit`` only.  So the package, the scheduling service and the
+decode worker's whole in-process path run without loading either.
+Each case runs in a fresh interpreter: ``sys.modules`` of the pytest
+process already holds whatever earlier tests imported.
 """
 
 import json
@@ -46,13 +48,15 @@ def run_fresh(code):
 
 
 class TestScipyStaysUnloaded:
+    """Neither scipy nor asyncio loads before its first use."""
+
     def test_package_service_and_zoo_imports(self):
         out = run_fresh(
             """
             import json, sys
             import repro, repro.service, repro.models.zoo
             print(json.dumps(sorted(m for m in sys.modules
-                                    if m.split(".")[0] == "scipy")))
+                                    if m.split(".")[0] in ("scipy", "asyncio"))))
             """
         )
         assert out == []
@@ -80,11 +84,12 @@ class TestScipyStaysUnloaded:
                 ))
             print(json.dumps({
                 "scipy": "scipy" in sys.modules,
+                "asyncio": "asyncio" in sys.modules,
                 "same_order": response.orders == respect.decode_orders([graph]),
             }))
             """
         )
-        assert out == {"scipy": False, "same_order": True}
+        assert out == {"scipy": False, "asyncio": False, "same_order": True}
 
     def test_ilp_solve_loads_scipy(self):
         out = run_fresh(
@@ -108,6 +113,33 @@ print(json.dumps({
             "status": "optimal",
             "peak": 600,
         }
+
+
+class TestAsyncioOnFirstUse:
+    def test_asubmit_answers(self):
+        out = run_fresh(
+            """
+            import json, sys
+            from repro.graphs.sampler import sample_synthetic_dag
+            from repro.rl.respect import RespectScheduler
+            from repro.service import SchedulingService
+
+            respect = RespectScheduler()
+            graph = sample_synthetic_dag(num_nodes=12, degree=3, seed=0)
+            with SchedulingService(respect) as service:
+                before = "asyncio" in sys.modules
+                import asyncio
+                served = asyncio.run(service.asubmit(graph, 4))
+            direct = respect.schedule(graph, 4)
+            print(json.dumps({
+                "before": before,
+                "same_schedule": (
+                    served.schedule.assignment == direct.schedule.assignment
+                ),
+            }))
+            """
+        )
+        assert out == {"before": False, "same_schedule": True}
 
 
 class TestWithoutScipy:
