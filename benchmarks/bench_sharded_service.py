@@ -1,7 +1,7 @@
 """Benchmark — the sharded serving tier under a 64-client load test.
 
 Drives a 64-client load generator against
-:class:`~repro.service.ShardedSchedulingService` at 1, 2 and 4 shards
+:class:`~repro.service.SchedulingService` at 1, 2 and 4 shards
 and measures **aggregate throughput scaling**.  Three serving regimes:
 
 * **solver-bound** — each solve occupies the shard's worker for a fixed
@@ -52,7 +52,7 @@ if __name__ == "__main__":  # allow `python benchmarks/bench_sharded_service.py`
 
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.scheduling.heuristics import ListScheduler
-from repro.service import ShardedSchedulingService
+from repro.service import SchedulingService
 from repro.utils.tables import format_table
 
 NUM_CLIENTS = 64
@@ -185,7 +185,7 @@ def run_sharded_bench(
         # use and each worker imports numpy + loads weights once.  Pay
         # that cold start here so the timed cells measure steady-state
         # decode, not process startup.
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory(),
             num_shards=1,
             max_queue_depth=len(graphs),
@@ -198,7 +198,7 @@ def run_sharded_bench(
     throughput = {}
     stats_by_shards = {}
     for num_shards in SHARD_COUNTS:
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory(),
             num_shards=num_shards,
             max_queue_depth=len(graphs),  # admission out of the picture
@@ -213,7 +213,7 @@ def run_sharded_bench(
 
     # Backpressure round: tiny queue depth, block policy — slower by
     # design, but nothing may be lost or served non-identically.
-    with ShardedSchedulingService(
+    with SchedulingService(
         scheduler_factory(),
         num_shards=4,
         max_queue_depth=4,

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Sharded serving walkthrough: fan-out, backpressure, async, hot-swap.
 
-One :class:`~repro.service.SchedulingService` is a single solver worker.
-:class:`~repro.service.ShardedSchedulingService` is the production
-shape: N independent shards (each with its own fingerprint cache,
-micro-batcher and hot-swap slot) behind a consistent-hash router keyed
-by graph fingerprint, with bounded admission per shard.  This demo
-walks the four capabilities in order:
+A one-shard :class:`~repro.service.SchedulingService` is a single solver
+worker.  ``SchedulingService(..., num_shards=N)`` is the production
+shape: N shards (each with its own fingerprint cache, micro-batcher and
+hot-swap slot) behind a consistent-hash router keyed by graph
+fingerprint, with bounded admission per shard.  This demo walks the
+four capabilities in order:
 
 1. **fan-out + equivalence** — a 32-client burst over 4 shards, with
    every served schedule bit-identical to a direct scheduler call;
@@ -18,7 +18,7 @@ walks the four capabilities in order:
    application, futures bridged from the thread tier;
 4. **per-shard hot swap** — a new policy version installed shard by
    shard while traffic flows, with the retired version's cache entries
-   evicted tier-wide.
+   evicted from every shard.
 
 Usage::
 
@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ServiceOverloadError
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.rl.respect import RespectScheduler
-from repro.service import ShardedSchedulingService
+from repro.service import SchedulingService
 
 NUM_CLIENTS = 32
 NUM_MODELS = 24
@@ -61,7 +61,7 @@ def main() -> None:
     direct = {id(g): scheduler.schedule(g, NUM_STAGES) for g in models}
 
     # -- 1. fan-out across 4 shards ------------------------------------
-    with ShardedSchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
+    with SchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
         start = time.perf_counter()
         served = burst(service, models)
         elapsed = time.perf_counter() - start
@@ -79,14 +79,14 @@ def main() -> None:
 
     # -- 2. admission control ------------------------------------------
     print(f"2. admission at depth 2 per shard, {NUM_CLIENTS} clients:")
-    with ShardedSchedulingService(
+    with SchedulingService(
         scheduler, num_shards=NUM_SHARDS, max_queue_depth=2,
         admission="block",
     ) as service:
         burst(service, models)
         print(f"   block   -> every request served; "
               f"{service.stats().blocked} submits waited for a drain")
-    with ShardedSchedulingService(
+    with SchedulingService(
         scheduler, num_shards=NUM_SHARDS, max_queue_depth=2,
         admission="shed",
     ) as service:
@@ -104,7 +104,7 @@ def main() -> None:
         shed = len(outcomes) - served_ok
         print(f"   shed    -> {served_ok} served, {shed} rejected with "
               f"ServiceOverloadError (caller retries)")
-    with ShardedSchedulingService(
+    with SchedulingService(
         scheduler, num_shards=NUM_SHARDS, max_queue_depth=2,
         admission="degrade",
     ) as service:
@@ -123,7 +123,7 @@ def main() -> None:
             for r, g in zip(results, models[:8])
         )
 
-    with ShardedSchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
+    with SchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
         matched = asyncio.run(async_app(service))
         print(f"3. asyncio facade: {matched}/8 awaited results identical "
               f"to direct calls")
@@ -146,7 +146,7 @@ def main() -> None:
     assert (
         challenger.options_fingerprint() != scheduler.options_fingerprint()
     )
-    with ShardedSchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
+    with SchedulingService(scheduler, num_shards=NUM_SHARDS) as service:
         for graph in models:
             service.schedule(graph, NUM_STAGES)
         old_key = service.swap_scheduler(challenger)

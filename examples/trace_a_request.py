@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Trace one request end to end through the sharded serving tier.
+"""Trace one request end to end through a sharded scheduling service.
 
 The observability layer (:mod:`repro.obs`) threads one ``Telemetry``
 facade through every serving constructor.  This demo builds the full
-production shape — a :class:`~repro.service.ShardedSchedulingService`
+production shape — a two-shard :class:`~repro.service.SchedulingService`
 with a disk-backed schedule store and decode worker *processes* — and
 submits a single request with tracing on, then prints:
 
@@ -29,7 +29,7 @@ import tempfile
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.obs import InMemorySpanExporter, Telemetry, format_span_tree
 from repro.rl.respect import RespectScheduler
-from repro.service import ShardedSchedulingService
+from repro.service import SchedulingService
 
 NUM_STAGES = 4
 
@@ -40,7 +40,7 @@ def main() -> None:
     graph = sample_synthetic_dag(num_nodes=16, degree=3, seed=11)
 
     with tempfile.TemporaryDirectory() as tmp:
-        with ShardedSchedulingService(
+        with SchedulingService(
             RespectScheduler(),
             num_shards=2,
             decode_workers=2,

@@ -100,9 +100,8 @@ def main() -> None:
     print(
         "\nThe warm build solved nothing: every schedule came back from "
         "the persistent\nstore, bit-identical to the cold build's — the "
-        "same mechanism warm-starts\nSchedulingService / "
-        "ShardedSchedulingService after a restart (see\n"
-        "service.restore())."
+        "same mechanism warm-starts\na SchedulingService of any shard "
+        "count after a restart (see\nservice.restore())."
     )
 
 

@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import DeploymentError
 from repro.graphs.dag import ComputationalGraph
 from repro.scheduling.postprocess import postprocess_schedule
-from repro.service import SchedulingService, ShardedSchedulingService
+from repro.service import SchedulingService
 from repro.tpu.latency import weight_stream_seconds
 from repro.tpu.pipeline import StageProfile, compute_stage_profiles
 from repro.tpu.quantize import is_quantized, quantize_graph
@@ -187,17 +187,14 @@ def build_fleet(
     """Compile every model onto every replica through one shared service.
 
     Exactly one of ``scheduler`` / ``service`` must be supplied.  A bare
-    scheduler gets a temporary serving tier stood in front of it: a
-    :class:`SchedulingService` by default, or a
-    :class:`~repro.service.ShardedSchedulingService` with
-    ``num_shards > 1`` — large catalogs then compile across per-shard
-    solver workers concurrently.  ``decode_workers > 0`` additionally
-    moves RESPECT policy decodes into that many worker *processes* (see
-    :class:`~repro.service.DecodeWorkerPool`) for the owned tier's
-    lifetime; schedules are bit-identical either way.  An explicit
-    ``service`` may be either kind (``num_shards`` and
-    ``decode_workers`` are ignored for it — configure them on the
-    service you pass).
+    scheduler gets a temporary :class:`SchedulingService` stood in front
+    of it with ``num_shards`` shards — large catalogs then compile
+    across per-shard solver workers concurrently.  ``decode_workers >
+    0`` additionally moves RESPECT policy decodes into that many worker
+    *processes* (see :class:`~repro.service.DecodeWorkerPool`) for the
+    owned service's lifetime; schedules are bit-identical either way.
+    ``num_shards`` and ``decode_workers`` are ignored for an explicit
+    ``service`` — configure them on the service you pass.
 
     With ``store_dir=`` the owned tier mounts a persistent
     :class:`~repro.service.DiskScheduleStore` at that directory (see
@@ -238,19 +235,12 @@ def build_fleet(
 
     owned = service is None
     if owned:
-        if num_shards > 1:
-            service = ShardedSchedulingService(
-                scheduler,
-                num_shards=num_shards,
-                decode_workers=decode_workers,
-                store_dir=store_dir,
-            )
-        else:
-            service = SchedulingService(
-                scheduler,
-                decode_workers=decode_workers,
-                store_dir=store_dir,
-            )
+        service = SchedulingService(
+            scheduler,
+            num_shards=num_shards,
+            decode_workers=decode_workers,
+            store_dir=store_dir,
+        )
     try:
         requests = 0
         hits = 0

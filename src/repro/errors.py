@@ -77,7 +77,7 @@ class ServiceOverloadError(ServiceError):
     """Raised when admission control sheds a request from a saturated shard.
 
     Only the ``"shed"`` admission policy of
-    :class:`~repro.service.ShardedSchedulingService` raises this; the
+    :class:`~repro.service.SchedulingService` raises this; the
     ``"block"`` and ``"degrade"`` policies absorb overload instead.
     Callers catching it should back off and retry (the condition is
     transient by construction: the shard's queue was at its depth limit

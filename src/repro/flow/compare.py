@@ -9,7 +9,7 @@ evaluation section reports: schedule *solving time* (Fig. 3), simulated
 
 from __future__ import annotations
 
-import weakref
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -278,9 +278,10 @@ def compare_methods_over_models(
 class ServedMethodStats:
     """Aggregated service counters of one :func:`serve_methods` method.
 
-    Sums the :class:`~repro.service.ServiceStats` counters over every
-    service the wrapped factory created (they share one cache, so
-    ``hit_rate`` reflects reuse across separate comparison calls) —
+    Registry totals of the :class:`~repro.service.ServiceStats` counters
+    over every service the wrapped factory created, live or abandoned
+    (they share one store per shard, so ``hit_rate`` reflects reuse
+    across separate comparison calls) —
     fleet experiments report schedule-reuse numbers from here instead of
     reaching into service internals.
     """
@@ -322,30 +323,6 @@ def served_method_stats(
     return stats
 
 
-class _ServedService:
-    """Façade over a :class:`SchedulingService` created by a served factory.
-
-    Delegates every attribute to the wrapped service, and on garbage
-    collection triggers ``finalizer(service)`` — letting
-    :func:`serve_methods` fold the service's final counters into its
-    per-method tallies at exactly the moment the caller abandons it,
-    without the factory ever holding a strong reference.
-    """
-
-    def __init__(self, service: object, finalizer: Callable) -> None:
-        self._service = service
-        weakref.finalize(self, finalizer, service)
-
-    def __getattr__(self, name: str) -> object:
-        return getattr(object.__getattribute__(self, "_service"), name)
-
-    def __enter__(self) -> "_ServedService":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._service.close()  # type: ignore[attr-defined]
-
-
 def serve_methods(
     methods: Dict[str, SchedulerFactory],
     cache_capacity: int = 512,
@@ -360,28 +337,23 @@ def serve_methods(
     """Route a method dict through the scheduling service layer.
 
     Wraps every factory so it yields a
-    :class:`repro.service.SchedulingService` around the underlying
-    scheduler.  The service duck-types as a scheduler
-    (``schedule``/``schedule_batch``/``method_name``), so
+    :class:`repro.service.SchedulingService` of ``num_shards`` shards
+    around the underlying scheduler (invoked once per shard, so it must
+    produce equivalently-configured schedulers — the same assumption the
+    shared store already makes across calls).  The service duck-types as
+    a scheduler (``schedule``/``schedule_batch``/``method_name``), so
     :func:`compare_methods`, :func:`run_method_batch` and
     :func:`compare_methods_over_models` transparently gain the
     fingerprint cache and micro-batching — with schedules bit-identical
     to the unserved path.  Each wrapped method owns one
-    :class:`~repro.service.TieredScheduleStore` *shared across every
-    service its factory creates*, so repeated models are solved once per
-    method even across separate comparison calls (safe: cache keys embed each
-    scheduler instance's options fingerprint).  Idle services retire
-    their worker threads automatically, so factory-created services
-    need no explicit ``close()``.
-
-    With ``num_shards > 1`` every factory call yields a
-    :class:`repro.service.ShardedSchedulingService` instead — requests
-    fan out by graph fingerprint over per-shard solver workers behind
-    the given admission policy (see the sharded service docs), and each
-    shard's store persists across the factory's service generations.
-    The underlying factory is then invoked once per shard, so it must
-    produce equivalently-configured schedulers (the same assumption the
-    shared store already makes across calls).
+    :class:`~repro.service.TieredScheduleStore` per shard *shared across
+    every service its factory creates*, so repeated models are solved
+    once per method even across separate comparison calls (safe: cache
+    keys embed each scheduler instance's options fingerprint).  Requests
+    fan out by graph fingerprint over the shards' solver workers behind
+    the given admission policy.  Idle services retire their worker
+    threads automatically, so factory-created services need no explicit
+    ``close()``.
 
     With ``decode_workers > 0`` every created service owns a
     :class:`~repro.service.workers.DecodeWorkerPool` of that many
@@ -392,25 +364,27 @@ def serve_methods(
 
     With ``store_dir=`` the per-method stores become **persistent**: one
     shared :class:`~repro.service.DiskScheduleStore` is opened at that
-    directory and each method's store (each *shard's* store when
-    sharded) stacks its LRU over its own namespace in it —
-    ``"<method>"`` for single-shard methods, ``"<method>/shard-<i>"``
-    for sharded ones.  A later :func:`serve_methods` call (or process)
-    over the same directory warm-starts: graphs any previous run solved
-    are served from disk without touching the solver, bit-identically.
-    Each returned factory exposes the store as ``schedule_store``
-    (snapshot it explicitly at good cut points; it is also snapshotted
-    when garbage-collected, and appends are flushed as they happen).
+    directory and each method's shard stores stack their LRUs over
+    their own namespaces in it — ``"<method>"`` for one shard,
+    ``"<method>/shard-<i>"`` for more.  A later :func:`serve_methods`
+    call (or process) over the same directory warm-starts: graphs any
+    previous run solved are served from disk without touching the
+    solver, bit-identically.  Each returned factory exposes the store as
+    ``schedule_store`` (snapshot it explicitly at good cut points; it is
+    also snapshotted when garbage-collected, and appends are flushed as
+    they happen).
 
-    Each returned factory additionally exposes ``service_stats()`` —
-    aggregated over all services it created — which
-    :func:`served_method_stats` collects into per-method cache hit rates
-    and mean micro-batch sizes.
+    Each returned factory additionally exposes ``service_stats()``,
+    which :func:`served_method_stats` collects into per-method cache hit
+    rates and mean micro-batch sizes.  It reads one metrics registry per
+    method: every service the factory creates records into it under its
+    own ``generation="<n>"`` label, so the totals cover live and
+    abandoned services alike without retaining any of them.
     """
+    from repro.obs.telemetry import Telemetry
     from repro.service import (
         DiskScheduleStore,
         SchedulingService,
-        ShardedSchedulingService,
         TieredScheduleStore,
     )
 
@@ -420,9 +394,9 @@ def serve_methods(
 
     def wrap(name: str, factory: SchedulerFactory) -> SchedulerFactory:
         namespaces = (
-            [f"{name}/shard-{i}" for i in range(num_shards)]
-            if num_shards > 1
-            else [name]
+            [name]
+            if num_shards == 1
+            else [f"{name}/shard-{i}" for i in range(num_shards)]
         )
         stores = [
             TieredScheduleStore(
@@ -435,75 +409,38 @@ def serve_methods(
             )
             for namespace in namespaces
         ]
-        # Created services are handed out behind `_ServedService` façades
-        # tracked only weakly, so a long-lived served dict does not keep
-        # every service it ever created alive.  When a caller drops its
-        # façade, the finalizer reads the real service's *final* counters
-        # into the running tallies — stats stay exact whether a service
-        # is still in use or long abandoned.
-        tracked: List["weakref.ref[_ServedService]"] = []
-        folded = {
-            "services": 0,
-            "requests": 0,
-            "cache_hits": 0,
-            "coalesced": 0,
-            "batches": 0,
-            "scheduled_graphs": 0,
-        }
+        telemetry = Telemetry()
+        lock = threading.Lock()
+        created = [0]
 
-        def fold(service: object) -> None:
-            stats = service.stats()
-            folded["services"] += 1
-            folded["requests"] += stats.requests
-            folded["cache_hits"] += stats.cache_hits
-            folded["coalesced"] += stats.coalesced
-            folded["batches"] += stats.batches
-            folded["scheduled_graphs"] += stats.scheduled_graphs
-
-        def make() -> object:
-            if num_shards > 1:
-                service: object = ShardedSchedulingService(
-                    scheduler_factory=factory,
-                    num_shards=num_shards,
-                    max_queue_depth=max_queue_depth,
-                    admission=admission,
-                    stores=stores,
-                    max_batch_size=max_batch_size,
-                    batch_window_s=batch_window_s,
-                    decode_workers=decode_workers,
-                )
-            else:
-                service = SchedulingService(
-                    factory(),
-                    store=stores[0],
-                    max_batch_size=max_batch_size,
-                    batch_window_s=batch_window_s,
-                    decode_workers=decode_workers,
-                )
-            served = _ServedService(service, fold)
-            tracked[:] = [ref for ref in tracked if ref() is not None]
-            tracked.append(weakref.ref(served))
-            return served
+        def make() -> SchedulingService:
+            with lock:
+                generation = created[0]
+                created[0] += 1
+            return SchedulingService(
+                scheduler_factory=factory,
+                num_shards=num_shards,
+                max_queue_depth=max_queue_depth,
+                admission=admission,
+                stores=stores,
+                max_batch_size=max_batch_size,
+                batch_window_s=batch_window_s,
+                decode_workers=decode_workers,
+                telemetry=telemetry.child(generation=str(generation)),
+            )
 
         def service_stats() -> ServedMethodStats:
-            live = []
-            for ref in tracked:
-                served = ref()
-                if served is not None:
-                    live.append(served.stats())
+            total = telemetry.registry.counter_total
+            with lock:
+                services = created[0]
             return ServedMethodStats(
                 method=name,
-                services=folded["services"] + len(live),
-                requests=folded["requests"] + sum(s.requests for s in live),
-                cache_hits=(
-                    folded["cache_hits"] + sum(s.cache_hits for s in live)
-                ),
-                coalesced=folded["coalesced"] + sum(s.coalesced for s in live),
-                batches=folded["batches"] + sum(s.batches for s in live),
-                scheduled_graphs=(
-                    folded["scheduled_graphs"]
-                    + sum(s.scheduled_graphs for s in live)
-                ),
+                services=services,
+                requests=total("respect_requests_total"),
+                cache_hits=total("respect_cache_hits_total"),
+                coalesced=total("respect_coalesced_total"),
+                batches=total("respect_batches_total"),
+                scheduled_graphs=total("respect_scheduled_graphs_total"),
             )
 
         make.service_stats = service_stats  # type: ignore[attr-defined]

@@ -9,8 +9,8 @@ Three pieces, one import surface:
   JSONL exporter, and cross-process propagation via the decode wire
   frames;
 * :mod:`repro.obs.telemetry` — the ``Telemetry`` facade that threads
-  through ``SchedulingService`` / ``ShardedSchedulingService`` /
-  ``DecodeWorkerPool`` / store / cluster / online constructors as
+  through ``SchedulingService`` / ``DecodeWorkerPool`` / store /
+  cluster / online constructors as
   ``telemetry=``.
 
 See the README "Observability" section for the end-to-end tour and

@@ -21,7 +21,7 @@ is sampled or decayed).  Percentiles interpolate linearly inside the
 owning bucket and clamp to the observed ``[min, max]``, so a
 single-sample histogram reports that exact sample for every quantile.
 Snapshots of histograms with identical bounds merge losslessly —
-this is what lets ``ShardedServiceStats`` pool per-shard latency
+this is what lets ``ServiceStats`` pool per-shard latency
 distributions without shipping raw sample windows around
 (percentiles don't compose; bucket counts do).
 """

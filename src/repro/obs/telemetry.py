@@ -16,7 +16,7 @@ One object bundles the two halves of the subsystem:
 
 ``child(**labels)`` derives a facade sharing the registry and tracer
 but stamping extra constant labels on every instrument it resolves —
-this is how ``ShardedSchedulingService`` gives each shard its own
+this is how ``SchedulingService`` gives each of its shards its own
 ``shard="N"`` series while scraping stays a single registry-wide call.
 """
 
@@ -156,9 +156,9 @@ class Telemetry:
 
         Returns ``(span, started)`` where ``started`` says whether this
         call created a root (and therefore owns ending it).  This is the
-        entry-point idiom: ``SchedulingService.submit`` joins the
-        sharded tier's request span when routed through it, but roots
-        its own trace when used standalone.
+        entry-point idiom ``SchedulingService.submit`` follows: it joins
+        a caller's active request span, but roots its own trace when it
+        is the entry point.
         """
         active = current_span()
         if active is not None:

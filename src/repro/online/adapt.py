@@ -59,7 +59,7 @@ from repro.rl.ptrnet import PointerNetworkPolicy
 from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.rl.respect import RespectScheduler
 from repro.scheduling.sequence import pack_sequence
-from repro.service import SchedulingService, ShardedSchedulingService
+from repro.service import SchedulingService
 
 #: Supplies ``count`` freshly sampled graphs from the live distribution.
 GraphSource = Callable[[int], Sequence[ComputationalGraph]]
@@ -211,10 +211,9 @@ class AdaptationLoop:
     Parameters
     ----------
     service:
-        The live service — a :class:`SchedulingService` or a
-        :class:`~repro.service.ShardedSchedulingService` (observation,
-        shadow evaluation and promotion all work per-shard through the
-        same listener/swap interfaces); its scheduler must be a
+        The live :class:`~repro.service.SchedulingService`, of any shard
+        count (one listener observes every shard and one swap promotes
+        on all of them); its scheduler must be a
         :class:`~repro.rl.respect.RespectScheduler` (the champion).
     buffer / detector:
         Experience store and drift detector; defaults are created when
@@ -239,7 +238,7 @@ class AdaptationLoop:
 
     def __init__(
         self,
-        service: Union[SchedulingService, ShardedSchedulingService],
+        service: SchedulingService,
         buffer: Optional[ExperienceBuffer] = None,
         detector: Optional[DriftDetector] = None,
         config: Optional[AdaptationConfig] = None,

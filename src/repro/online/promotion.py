@@ -14,7 +14,7 @@ and the shadow-evaluation numbers, then hot-swapped into the
 :class:`~repro.service.SchedulingService` via
 :meth:`~repro.service.SchedulingService.swap_scheduler`; the stale cache
 entries of the retired champion are evicted with
-:meth:`~repro.service.ScheduleCache.invalidate_options`.
+:meth:`~repro.service.SchedulingService.invalidate_options`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.rl.checkpoints import checkpoint_metadata, save_checkpoint
 from repro.rl.ptrnet import PointerNetworkPolicy
 from repro.rl.respect import RespectScheduler
 from repro.scheduling.sequence import normalize_stage_counts
-from repro.service import SchedulingService, ShardedSchedulingService
+from repro.service import SchedulingService
 
 
 def scheduler_with_policy(
@@ -172,7 +172,7 @@ class PromotionRecord:
 
 
 def promote_challenger(
-    service: Union[SchedulingService, ShardedSchedulingService],
+    service: SchedulingService,
     challenger: RespectScheduler,
     evaluation: ShadowEvaluation,
     checkpoint_dir: Optional[Union[str, Path]] = None,
@@ -186,15 +186,14 @@ def promote_challenger(
     recording the drift event that triggered fine-tuning, the shadow
     evaluation, and the options fingerprint of the champion it replaced
     — the audit trail for "why is the fleet running these weights".
-    ``service`` may be a single :class:`SchedulingService` or a
-    :class:`~repro.service.ShardedSchedulingService` — the swap is
-    atomic per serving shard (see each class's ``swap_scheduler``
-    contract: no request is ever served a torn mix of two policies, and
-    requests submitted after the swap returns run the challenger on
-    every shard).  With ``invalidate_cache=True`` the retired champion's
-    cache entries are evicted eagerly from every shard's cache — and
-    when the service mounts a persistent schedule store (``store=`` /
-    ``stores=`` / ``store_dir=``), the eviction reaches **every tier**: the store
+    The swap is atomic per serving shard (see
+    :meth:`~repro.service.SchedulingService.swap_scheduler`: no request
+    is ever served a torn mix of two policies, and requests submitted
+    after the swap returns run the challenger on every shard).  With
+    ``invalidate_cache=True`` the retired champion's cache entries are
+    evicted eagerly from every shard's store — and when the service
+    mounts a persistent schedule store (``stores=`` / ``store_dir=``),
+    the eviction reaches **every tier**: the store
     appends durable tombstones and its index is snapshotted here, so a
     process restarted over the same store directory can never serve a
     schedule solved by the retired champion.
@@ -228,7 +227,7 @@ def promote_challenger(
     invalidated = (
         service.invalidate_options(old_key) if invalidate_cache else 0
     )
-    if invalidate_cache and getattr(service, "schedule_store", None) is not None:
+    if invalidate_cache and service.schedule_store is not None:
         # The tombstones the invalidation appended are already flushed;
         # the snapshot additionally fsyncs them and spares the next boot
         # a segment replay — promotion is a natural durability point.

@@ -8,26 +8,25 @@ rest into micro-batches for the scheduler's vectorized
 ``schedule_batch``, and returns futures whose schedules are
 bit-identical to direct ``scheduler.schedule`` calls.
 
-:class:`ShardedSchedulingService` scales that horizontally: requests
-are consistent-hashed by graph fingerprint across N independent
-service shards (private store, micro-batcher and hot-swap slot each),
-behind bounded admission (block / shed / degrade backpressure policies)
-and an async ``asubmit`` facade.
+The same class scales horizontally with ``num_shards=N``: requests are
+consistent-hashed by graph fingerprint across N shards (private store,
+micro-batcher and hot-swap slot each), behind bounded admission (block /
+shed / degrade backpressure policies) and an async ``asubmit`` facade.
+One shard, the default, is the same service with the ring skipped.
 
-Both tiers optionally run the policy decode **outside the GIL**: with
+The service optionally runs the policy decode **outside the GIL**: with
 ``decode_workers=N`` the greedy pointer-network decode is dispatched to
 a :class:`DecodeWorkerPool` of worker processes over the versioned
 :mod:`repro.service.wire` format, with bit-identical schedules,
 hot-swap propagation via weights epochs, and crash-respawned workers.
 
-Storage is configured one way on both tiers.  Every service answers
-from a :class:`TieredScheduleStore`: an LRU :class:`ScheduleCache`
-over an optional crash-safe, content-addressed
-:class:`DiskScheduleStore` namespace (:class:`StoreNamespace`).  Pass
-``store_dir=`` to have the tier open and own a persistent one (a
-rebooted service then serves previously solved graphs without
-re-solving), ``store=`` (``stores=``, one per shard, on the sharded
-tier) to mount caller-owned ones, or neither for a memory-only store of
+Storage is configured one way.  Every shard answers from a
+:class:`TieredScheduleStore`: an LRU :class:`ScheduleCache` over an
+optional crash-safe, content-addressed :class:`DiskScheduleStore`
+namespace (:class:`StoreNamespace`).  Pass ``store_dir=`` to have the
+service open and own a persistent one (a rebooted service then serves
+previously solved graphs without re-solving), ``stores=`` (one per
+shard) to mount caller-owned ones, or neither for memory-only stores of
 ``cache_capacity`` entries — see :mod:`repro.service.store`.
 """
 
@@ -48,12 +47,8 @@ from repro.service.store import (
 from repro.service.service import (
     SchedulingService,
     ServiceStats,
-    scheduler_options_key,
-)
-from repro.service.sharded import (
-    ShardedSchedulingService,
-    ShardedServiceStats,
     build_hash_ring,
+    scheduler_options_key,
     shard_for_fingerprint,
 )
 from repro.service.workers import (
@@ -76,8 +71,6 @@ __all__ = [
     "ScheduleCache",
     "SchedulingService",
     "ServiceStats",
-    "ShardedSchedulingService",
-    "ShardedServiceStats",
     "StoreNamespace",
     "TieredScheduleStore",
     "TieredStoreStats",

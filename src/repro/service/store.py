@@ -33,8 +33,8 @@ Three classes compose the subsystem:
 :class:`StoreNamespace`
     A view of one ``namespace`` inside a shared store: the disk tier of
     a :class:`TieredScheduleStore`.  Namespaces give each shard of a
-    :class:`~repro.service.ShardedSchedulingService` (and each method of
-    a served comparison dict) its own keyspace in one store directory,
+    :class:`~repro.service.SchedulingService` (and each method of a
+    served comparison dict) its own keyspace in one store directory,
     preserving consistent-hash affinity across restarts.
 
 :class:`TieredScheduleStore`

@@ -134,7 +134,7 @@ class TestServedMethods:
         # The second sweep was served from the method's shared cache.
         probe = methods["proxy"]()
         try:
-            assert probe.cache.stats().hits >= len(quantized_graphs)
+            assert probe.stats().cache.hits >= len(quantized_graphs)
         finally:
             probe.close()
 

@@ -51,17 +51,17 @@ def test_unserved_methods_are_rejected(graph):
 
 
 def test_abandoned_services_fold_without_retention(graph):
-    # Factories track their services only weakly: once a comparison call
-    # abandons its service, the finalizer folds the final counters into
-    # running tallies — stats stay exact over arbitrarily many calls
-    # while no service object is retained by the method dict.
+    # Factories keep no reference to the services they create: each one
+    # records into the method's registry under its own generation
+    # label, so stats stay exact over arbitrarily many calls while no
+    # service object is retained by the method dict.
     import gc
 
     methods = serve_methods({"list": ListScheduler})
     rounds = 7
     for _ in range(rounds):
         compare_methods(graph, methods, num_stages=2)
-    gc.collect()  # ensure abandoned façades have finalized
+    gc.collect()  # abandoned services hold none of the counts
     stats = served_method_stats(methods)["list"]
     assert stats.services == rounds
     assert stats.requests == rounds

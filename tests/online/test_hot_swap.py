@@ -75,14 +75,12 @@ def make_service(request):
     ``swap_scheduler`` is always served by the new version (the sharded
     swap only returns once every shard runs it).
     """
-    from repro.service import ShardedSchedulingService
-
     def build(scheduler):
         if request.param == "single":
             return SchedulingService(
                 scheduler, cache_capacity=64, batch_window_s=0.001
             )
-        return ShardedSchedulingService(
+        return SchedulingService(
             scheduler,
             num_shards=4,
             cache_capacity=64,
@@ -165,7 +163,7 @@ def test_sequential_serves_flip_exactly_at_swap(graphs):
             v1.schedule(graphs[0], NUM_STAGES).schedule.assignment
         )
         old_key = service.swap_scheduler(v2)
-        service.cache.invalidate_options(old_key)
+        service.invalidate_options(old_key)
         after = service.schedule(graphs[0], NUM_STAGES)
         assert after.schedule.assignment == (
             v2.schedule(graphs[0], NUM_STAGES).schedule.assignment

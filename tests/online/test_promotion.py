@@ -114,7 +114,7 @@ class TestPromoteChallenger:
         with SchedulingService(champion, batch_window_s=0.0) as service:
             for graph in graphs:
                 service.schedule(graph, 3)
-            assert service.cache.stats().size == len(graphs)
+            assert service.stats().cache.size == len(graphs)
             record = promote_challenger(
                 service,
                 challenger,
@@ -127,8 +127,8 @@ class TestPromoteChallenger:
             assert service.stats().swaps == 1
             # Every old-options entry evicted, counted as invalidations.
             assert record.invalidated_entries == len(graphs)
-            assert service.cache.stats().size == 0
-            assert service.cache.stats().invalidations == len(graphs)
+            assert service.stats().cache.size == 0
+            assert service.stats().cache.invalidations == len(graphs)
             assert record.retired_options_key == champion.options_fingerprint()
             # Post-swap serves are challenger results.
             served = service.schedule(graphs[0], 3)
@@ -160,12 +160,10 @@ class TestPromoteChallenger:
         """The promotion path operates per-shard: every shard swaps to
         the challenger and every shard's stale cache entries are
         evicted."""
-        from repro.service import ShardedSchedulingService
-
         champion = RespectScheduler(policy=_tiny_policy(0))
         challenger = scheduler_with_policy(champion, _tiny_policy(1))
         evaluation = evaluate_challenger(champion, challenger, graphs, 3)
-        with ShardedSchedulingService(
+        with SchedulingService(
             champion, num_shards=3, batch_window_s=0.0
         ) as service:
             for graph in graphs:

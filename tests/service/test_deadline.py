@@ -9,7 +9,7 @@ from repro.graphs.sampler import sample_synthetic_dag
 from repro.obs import Telemetry
 from repro.portfolio import AnytimePortfolio, DegradeLadder, PortfolioLane
 from repro.scheduling.heuristics import ListScheduler
-from repro.service import SchedulingService, ShardedSchedulingService
+from repro.service import SchedulingService
 from repro.tpu.quantize import quantize_graph
 
 #: Single-core CI hosts schedule threads coarsely: "answered at the
@@ -128,7 +128,7 @@ class TestShardedDegradeLadder:
                 time.sleep(0.25)
                 return ListScheduler().schedule(graph, num_stages)
 
-        return ShardedSchedulingService(
+        return SchedulingService(
             scheduler=Slow(),
             num_shards=1,
             max_queue_depth=1,
@@ -182,7 +182,7 @@ class TestShardedDegradeLadder:
 
     def test_portfolio_requires_serve_contract(self):
         with pytest.raises(ServiceError, match="serve"):
-            ShardedSchedulingService(
+            SchedulingService(
                 scheduler=ListScheduler(),
                 num_shards=1,
                 admission="degrade",
@@ -191,7 +191,7 @@ class TestShardedDegradeLadder:
 
     def test_full_quality_serves_warm_the_structural_index(self):
         ladder = DegradeLadder()
-        tier = ShardedSchedulingService(
+        tier = SchedulingService(
             scheduler=ListScheduler(),
             num_shards=1,
             admission="degrade",
@@ -204,7 +204,7 @@ class TestShardedDegradeLadder:
             tier.close()
 
     def test_deadline_forwarded_through_the_front_tier(self):
-        tier = ShardedSchedulingService(
+        tier = SchedulingService(
             scheduler=_racing_portfolio(deadline_ms=5_000.0), num_shards=1
         )
         try:

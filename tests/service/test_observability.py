@@ -29,7 +29,7 @@ from repro.obs import (
 from repro.rl.respect import RespectScheduler
 from repro.scheduling.heuristics import ListScheduler
 from repro.scheduling.schedule import Schedule, ScheduleResult
-from repro.service import SchedulingService, ShardedSchedulingService
+from repro.service import SchedulingService
 
 NUM_STAGES = 3
 
@@ -125,7 +125,7 @@ class TestRegistryStatsEquality:
     def test_sharded_hammer_registry_equals_stats(self):
         telemetry = Telemetry()
         graphs = make_graphs(10, seed_base=100)
-        with ShardedSchedulingService(
+        with SchedulingService(
             FakeScheduler(),
             num_shards=3,
             telemetry=telemetry,
@@ -182,7 +182,7 @@ class TestRegistryStatsEquality:
         def bad_listener(graph, num_stages, result):
             raise RuntimeError("listener boom")
 
-        with ShardedSchedulingService(
+        with SchedulingService(
             Gated(),
             num_shards=1,
             max_queue_depth=1,
@@ -362,7 +362,7 @@ class TestCrossProcessTraces:
         exporter = InMemorySpanExporter()
         telemetry = Telemetry.with_tracing(exporter)
         graph = sample_synthetic_dag(num_nodes=12, degree=3, seed=7)
-        with ShardedSchedulingService(
+        with SchedulingService(
             RespectScheduler(),
             num_shards=2,
             decode_workers=2,

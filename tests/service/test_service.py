@@ -174,20 +174,20 @@ class TestStoreArguments:
     def test_store_and_store_dir_are_mutually_exclusive(self, tmp_path):
         with pytest.raises(ServiceError, match="not both"):
             SchedulingService(
-                FakeScheduler(), store=TieredScheduleStore(), store_dir=tmp_path
+                FakeScheduler(), stores=[TieredScheduleStore()], store_dir=tmp_path
             )
 
     def test_store_must_be_a_tiered_store(self, tmp_path):
         with pytest.raises(ServiceError, match="TieredScheduleStore"):
-            SchedulingService(FakeScheduler(), store=ScheduleCache(8))
+            SchedulingService(FakeScheduler(), stores=[ScheduleCache(8)])
         with DiskScheduleStore(tmp_path) as disk:
             with pytest.raises(ServiceError, match="TieredScheduleStore"):
-                SchedulingService(FakeScheduler(), store=disk)
+                SchedulingService(FakeScheduler(), stores=[disk])
 
     def test_caller_owned_store_is_mounted_as_is(self, graphs):
         store = TieredScheduleStore(memory_capacity=4)
-        with SchedulingService(FakeScheduler(), store=store) as service:
-            assert service.cache is store
+        with SchedulingService(FakeScheduler(), stores=[store]) as service:
+            assert service.shards[0].cache is store
             service.schedule(graphs[0], 3)
         assert len(store) == 1
 
@@ -433,9 +433,10 @@ class TestWorkerLifecycle:
         try:
             service.schedule(graphs[0], 3)
             deadline = time.time() + 2.0
-            while service._worker is not None and time.time() < deadline:
+            shard = service.shards[0]
+            while shard._worker is not None and time.time() < deadline:
                 time.sleep(0.01)
-            assert service._worker is None  # retired while idle
+            assert shard._worker is None  # retired while idle
             # The next miss restarts a worker transparently.
             result = service.schedule(graphs[1], 3)
             assert result.schedule.graph is graphs[1]
@@ -456,10 +457,11 @@ class TestWorkerLifecycle:
         service.schedule(graphs[0], 3)
         ref = weakref.ref(service)
         deadline = time.time() + 2.0
-        while service._worker is not None and time.time() < deadline:
+        shard = service.shards[0]
+        while shard._worker is not None and time.time() < deadline:
             time.sleep(0.01)
-        assert service._worker is None
-        del service
+        assert shard._worker is None
+        del service, shard
         gc.collect()
         assert ref() is None
 
@@ -560,10 +562,10 @@ class TestRespectEquivalence:
     def test_shared_cache_requires_matching_options(self, respect):
         graph = sample_synthetic_dag(num_nodes=12, degree=3, seed=1)
         store = TieredScheduleStore(memory_capacity=8)
-        with SchedulingService(respect, store=store) as service:
+        with SchedulingService(respect, stores=[store]) as service:
             service.schedule(graph, 4)
         other = RespectScheduler(policy=respect.policy, budget_slack=1.5)
-        with SchedulingService(other, store=store) as service:
+        with SchedulingService(other, stores=[store]) as service:
             result = service.schedule(graph, 4)
         # Different packer options never alias the first entry.
         assert result.extras["cache_hit"] is False

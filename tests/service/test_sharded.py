@@ -1,4 +1,5 @@
-"""Sharded serving tier: routing, admission, async facade, lifecycle.
+"""Sharded serving (``SchedulingService(num_shards=N)``): routing, admission,
+async facade, lifecycle.
 
 Logic tests run an instrumented fake scheduler (full control of timing
 and call counts); the promotion/hot-swap integration with the real
@@ -20,7 +21,6 @@ from repro.scheduling.schedule import Schedule, ScheduleResult
 from repro.service import (
     ScheduleCache,
     SchedulingService,
-    ShardedSchedulingService,
     TieredScheduleStore,
     build_hash_ring,
     shard_for_fingerprint,
@@ -112,27 +112,27 @@ class TestHashRing:
 class TestConstruction:
     def test_exactly_one_scheduler_source(self):
         with pytest.raises(ServiceError):
-            ShardedSchedulingService()
+            SchedulingService(num_shards=2)
         with pytest.raises(ServiceError):
-            ShardedSchedulingService(
-                FakeScheduler(), scheduler_factory=FakeScheduler
+            SchedulingService(
+                FakeScheduler(), scheduler_factory=FakeScheduler, num_shards=2
             )
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ServiceError):
-            ShardedSchedulingService(FakeScheduler(), num_shards=0)
+            SchedulingService(FakeScheduler(), num_shards=0)
         with pytest.raises(ServiceError):
-            ShardedSchedulingService(FakeScheduler(), max_queue_depth=0)
+            SchedulingService(FakeScheduler(), num_shards=2, max_queue_depth=0)
         with pytest.raises(ServiceError):
-            ShardedSchedulingService(FakeScheduler(), admission="panic")
+            SchedulingService(FakeScheduler(), num_shards=2, admission="panic")
 
     def test_stores_must_be_one_tiered_store_per_shard(self):
         with pytest.raises(ServiceError, match="one entry per shard"):
-            ShardedSchedulingService(
+            SchedulingService(
                 FakeScheduler(), num_shards=2, stores=[TieredScheduleStore()]
             )
         with pytest.raises(ServiceError, match="TieredScheduleStore"):
-            ShardedSchedulingService(
+            SchedulingService(
                 FakeScheduler(),
                 num_shards=2,
                 stores=[ScheduleCache(8), ScheduleCache(8)],
@@ -140,27 +140,18 @@ class TestConstruction:
 
 
 class TestRoutingAndEquivalence:
-    def test_results_match_direct_and_bind_callers_graph(self, graphs):
-        fake = FakeScheduler()
-        direct = [fake.schedule(g, NUM_STAGES) for g in graphs]
-        with ShardedSchedulingService(fake, num_shards=4) as service:
-            served = service.schedule_batch(graphs, NUM_STAGES)
-        for d, s, graph in zip(direct, served, graphs):
-            assert s.schedule.assignment == d.schedule.assignment
-            assert s.schedule.graph is graph
-
     def test_sharded_equals_single_shard_service(self, graphs):
         fake = FakeScheduler()
         with SchedulingService(fake) as single:
             one = single.schedule_batch(graphs, NUM_STAGES)
-        with ShardedSchedulingService(fake, num_shards=4) as sharded:
+        with SchedulingService(fake, num_shards=4) as sharded:
             four = sharded.schedule_batch(graphs, NUM_STAGES)
         for a, b in zip(one, four):
             assert a.schedule.assignment == b.schedule.assignment
 
     def test_fingerprint_routing_gives_cache_affinity(self, graphs):
         fake = FakeScheduler()
-        with ShardedSchedulingService(fake, num_shards=4) as service:
+        with SchedulingService(fake, num_shards=4) as service:
             cold = service.schedule(graphs[0], NUM_STAGES)
             warm = service.schedule(graphs[0], NUM_STAGES)
             assert cold.extras["cache_hit"] is False
@@ -173,7 +164,7 @@ class TestRoutingAndEquivalence:
             assert sum(s.requests for s in per_shard) == 2
 
     def test_content_identical_graphs_route_identically(self, graphs):
-        with ShardedSchedulingService(FakeScheduler(), num_shards=4) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=4) as svc:
             twin = sample_synthetic_dag(num_nodes=10, degree=3, seed=0)
             assert graph_fingerprint(twin) == graph_fingerprint(graphs[0])
             assert svc.shard_index(twin) == svc.shard_index(graphs[0])
@@ -185,7 +176,7 @@ class TestRoutingAndEquivalence:
             sample_synthetic_dag(num_nodes=8, degree=2, seed=seed)
             for seed in range(64)
         ]
-        with ShardedSchedulingService(FakeScheduler(), num_shards=4) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=4) as svc:
             svc.schedule_batch(many, NUM_STAGES)
             used = [s.requests for s in svc.stats().per_shard]
         assert sum(used) == 64
@@ -198,7 +189,7 @@ class TestRoutingAndEquivalence:
             made.append(FakeScheduler())
             return made[-1]
 
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory=factory, num_shards=3
         ) as service:
             service.schedule_batch(graphs, NUM_STAGES)
@@ -209,7 +200,7 @@ class TestRoutingAndEquivalence:
 class TestAdmission:
     def test_block_policy_backpressures_and_loses_nothing(self, graphs):
         fake = FakeScheduler(delay=0.003)
-        with ShardedSchedulingService(
+        with SchedulingService(
             fake,
             num_shards=2,
             max_queue_depth=1,
@@ -249,7 +240,7 @@ class TestAdmission:
                 release.wait(timeout=10)
                 return super().schedule(graph, num_stages)
 
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Gated(),
             num_shards=1,  # one shard so saturation is deterministic
             max_queue_depth=2,
@@ -286,7 +277,7 @@ class TestAdmission:
                 return super().schedule(graph, num_stages)
 
         seen = []
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Gated(),
             num_shards=1,
             max_queue_depth=1,
@@ -335,7 +326,7 @@ class TestAdmission:
                 return super().schedule(graph, num_stages)
 
         fake = Gated()
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             fake,
             num_shards=1,
             max_queue_depth=1,
@@ -380,7 +371,7 @@ class TestAdmission:
                 release.wait(timeout=10)
                 return super().schedule(graph, num_stages)
 
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Gated(),
             num_shards=1,
             max_queue_depth=2,
@@ -421,7 +412,7 @@ class TestAdmission:
                 return super().schedule(graph, num_stages)
 
         depth = 2
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Gated(),
             num_shards=1,
             max_queue_depth=depth,
@@ -466,7 +457,7 @@ class TestAsyncFacade:
     def test_asubmit_matches_sync_results(self, graphs):
         fake = FakeScheduler()
         direct = [fake.schedule(g, NUM_STAGES) for g in graphs]
-        with ShardedSchedulingService(fake, num_shards=4) as service:
+        with SchedulingService(fake, num_shards=4) as service:
 
             async def drive():
                 return await asyncio.gather(
@@ -484,7 +475,7 @@ class TestAsyncFacade:
         executor."""
         fake = FakeScheduler(delay=0.002)
         beats = []
-        with ShardedSchedulingService(
+        with SchedulingService(
             fake,
             num_shards=2,
             max_queue_depth=2,
@@ -527,7 +518,7 @@ class TestAsyncFacade:
 class TestListenersAndStats:
     def test_one_registration_sees_all_shards(self, graphs):
         seen = []
-        with ShardedSchedulingService(FakeScheduler(), num_shards=4) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=4) as svc:
             svc.add_serve_listener(
                 lambda graph, stages, result: seen.append(graph)
             )
@@ -537,25 +528,15 @@ class TestListenersAndStats:
     def test_remove_listener_tier_wide(self, graphs):
         seen = []
         listener = lambda graph, stages, result: seen.append(graph)  # noqa: E731
-        with ShardedSchedulingService(FakeScheduler(), num_shards=2) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=2) as svc:
             svc.add_serve_listener(listener)
             svc.schedule(graphs[0], NUM_STAGES)
             svc.remove_serve_listener(listener)
             svc.schedule(graphs[1], NUM_STAGES)
         assert len(seen) == 1
 
-    def test_listener_errors_aggregate_across_shards(self, graphs):
-        def broken(graph, stages, result):
-            raise RuntimeError("observer bug")
-
-        with ShardedSchedulingService(FakeScheduler(), num_shards=4) as svc:
-            svc.add_serve_listener(broken)
-            svc.schedule_batch(graphs, NUM_STAGES)
-            stats = svc.stats()
-        assert stats.listener_errors == len(graphs)
-
     def test_aggregate_stats_sum_shards(self, graphs):
-        with ShardedSchedulingService(FakeScheduler(), num_shards=4) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=4) as svc:
             svc.schedule_batch(graphs, NUM_STAGES)
             svc.schedule(graphs[0], NUM_STAGES)  # one warm hit
             stats = svc.stats()
@@ -571,35 +552,6 @@ class TestListenersAndStats:
 
 
 class TestLifecycle:
-    def test_close_fails_pending_and_is_idempotent(self, graphs):
-        release = threading.Event()
-
-        class Stuck(FakeScheduler):
-            def schedule_batch(self, graphs, stage_counts):
-                release.wait(timeout=10)
-                return super().schedule_batch(graphs, stage_counts)
-
-            def schedule(self, graph, num_stages):
-                release.wait(timeout=10)
-                return super().schedule(graph, num_stages)
-
-        service = ShardedSchedulingService(
-            Stuck(), num_shards=2, batch_window_s=0.0
-        )
-        futures = [service.submit(g, NUM_STAGES) for g in graphs[:6]]
-        try:
-            service.close(timeout=0.2)
-            service.close(timeout=0.2)  # idempotent
-            for future in futures:
-                assert future.done()
-                exc = future.exception(timeout=1)
-                if exc is not None:
-                    assert isinstance(exc, ServiceError)
-            with pytest.raises(ServiceError):
-                service.submit(graphs[0], NUM_STAGES)
-        finally:
-            release.set()
-
     def test_close_timeout_is_a_shared_deadline_not_per_shard(self, graphs):
         """4 stuck shards must not stretch close(timeout=t) to ~4t."""
         release = threading.Event()
@@ -613,7 +565,7 @@ class TestLifecycle:
                 release.wait(timeout=30)
                 return super().schedule(graph, num_stages)
 
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Stuck(), num_shards=4, batch_window_s=0.0
         )
         futures = [service.submit(g, NUM_STAGES) for g in graphs]
@@ -640,7 +592,7 @@ class TestLifecycle:
                 release.wait(timeout=10)
                 return super().schedule(graph, num_stages)
 
-        service = ShardedSchedulingService(
+        service = SchedulingService(
             Stuck(),
             num_shards=1,
             max_queue_depth=1,
@@ -675,7 +627,7 @@ class TestSwap:
     def test_swap_reaches_every_shard(self, graphs):
         v1, v2 = FakeScheduler(), FakeScheduler()
         v2.method_name = "fake_v2"
-        with ShardedSchedulingService(v1, num_shards=4) as service:
+        with SchedulingService(v1, num_shards=4) as service:
             service.schedule_batch(graphs, NUM_STAGES)
             old_key = service.swap_scheduler(v2)
             assert all(s.scheduler is v2 for s in service.shards)
@@ -688,7 +640,7 @@ class TestSwap:
             assert service.stats().swaps == 1
 
     def test_swap_via_factory(self, graphs):
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory=FakeScheduler, num_shards=3
         ) as service:
             made = []
@@ -704,7 +656,7 @@ class TestSwap:
             }
 
     def test_swap_requires_exactly_one_source(self, graphs):
-        with ShardedSchedulingService(FakeScheduler(), num_shards=2) as svc:
+        with SchedulingService(FakeScheduler(), num_shards=2) as svc:
             with pytest.raises(ServiceError):
                 svc.swap_scheduler()
             with pytest.raises(ServiceError):

@@ -20,7 +20,6 @@ from repro.scheduling.schedule import Schedule, ScheduleResult
 from repro.service import (
     DiskScheduleStore,
     SchedulingService,
-    ShardedSchedulingService,
 )
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -127,7 +126,7 @@ class TestSingleServiceRestore:
 
 class TestShardedServiceRestore:
     def test_warm_reboot_across_shards(self, graphs, tmp_path):
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory=CountingScheduler,
             num_shards=3,
             store_dir=tmp_path,
@@ -138,7 +137,7 @@ class TestShardedServiceRestore:
             assert tier.schedule_store is not None
 
         reborn = CountingScheduler()
-        with ShardedSchedulingService(
+        with SchedulingService(
             reborn, num_shards=3, store_dir=tmp_path, batch_window_s=0.0
         ) as tier:
             assert tier.restore() == len(graphs)
@@ -151,7 +150,7 @@ class TestShardedServiceRestore:
         # Every persisted entry must live in the namespace of the shard
         # that owns its fingerprint — the invariant that makes the warm
         # start above find entries where the ring routes requests.
-        with ShardedSchedulingService(
+        with SchedulingService(
             scheduler_factory=CountingScheduler,
             num_shards=3,
             store_dir=tmp_path,
@@ -176,7 +175,7 @@ class TestShardedServiceRestore:
         from repro.service import TieredScheduleStore
 
         with pytest.raises(ServiceError, match="not both"):
-            ShardedSchedulingService(
+            SchedulingService(
                 CountingScheduler(),
                 num_shards=2,
                 stores=[TieredScheduleStore(), TieredScheduleStore()],
@@ -314,4 +313,4 @@ class TestPromotionDurability:
                 champion_again.options_fingerprint() == champion_key
             )  # same weights -> same fingerprint, so reuse *would* hit
             for graph in graphs:
-                assert not relapsed.has_cached(graph_fingerprint(graph), 3)
+                assert not relapsed.shards[0].has_cached(graph_fingerprint(graph), 3)

@@ -26,7 +26,6 @@ from repro.scheduling.heuristics import ListScheduler
 from repro.service import (
     DecodeWorkerPool,
     SchedulingService,
-    ShardedSchedulingService,
     WorkerDecodeScheduler,
     supports_worker_decode,
     unwrap_scheduler,
@@ -118,7 +117,7 @@ class TestBitIdentity:
     def test_sharded_service_with_decode_pool_matches_in_process(
         self, respect, shared_pool, graphs
     ):
-        with ShardedSchedulingService(
+        with SchedulingService(
             respect, num_shards=2, decode_pool=shared_pool
         ) as service:
             served = [service.schedule(g, 4) for g in graphs]
@@ -224,8 +223,8 @@ class TestFallbackAndValidation:
                 respect, decode_workers=2, decode_pool=object()
             )
         with pytest.raises(ServiceError, match="not both"):
-            ShardedSchedulingService(
-                respect, decode_workers=2, decode_pool=object()
+            SchedulingService(
+                respect, num_shards=2, decode_workers=2, decode_pool=object()
             )
 
     def test_negative_decode_workers_rejected(self, respect):

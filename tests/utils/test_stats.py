@@ -69,8 +69,3 @@ class TestSharedAcrossReports:
         assert service.percentile is percentile
         assert report.percentile is percentile
         assert online.percentile is percentile
-
-    def test_sharded_service_uses_one_implementation(self):
-        import repro.service.sharded as sharded
-
-        assert sharded.percentile is percentile
