@@ -11,7 +11,8 @@ compares against the compiler and the ILP.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence, Union
+from contextlib import nullcontext
+from typing import Callable, ContextManager, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -209,80 +210,7 @@ class RespectScheduler:
     # ------------------------------------------------------------------
     def schedule(self, graph: ComputationalGraph, num_stages: int) -> ScheduleResult:
         """Produce a schedule with one greedy decode (polynomial time)."""
-        if num_stages < 1:
-            raise SchedulingError("num_stages must be at least 1")
-        with Timer() as timer:
-            queue = build_encoder_queue(graph, self.embedding_config)
-            precedence = (
-                queue.precedence[None, :, :] if self.constrain_topological else None
-            )
-            rollout = self._inference_policy.greedy_decode(
-                queue.features[None, :, :], precedence=precedence
-            )
-            order = queue.names_for(rollout.actions[0])
-            raw = pack_sequence(
-                graph, order, num_stages, budget_slack=self.budget_slack
-            )
-            violations_before = len(raw.dependency_violations())
-            schedule = postprocess_schedule(
-                raw, enforce_siblings=self.enforce_siblings
-            )
-        return ScheduleResult(
-            schedule=schedule,
-            solve_time=timer.elapsed,
-            method=self.method_name,
-            status="inference",
-            extras={
-                "repaired_violations": violations_before,
-                "log_prob": float(rollout.log_prob[0]),
-            },
-        )
-
-    # ------------------------------------------------------------------
-    def _decode_batch(self, graphs: Sequence[ComputationalGraph]):
-        """Embed ``graphs`` and run :meth:`_decode_queues` over them.
-
-        Returns ``(queues, rollout, lengths)``.
-        """
-        queues: List[EncoderQueue] = [
-            build_encoder_queue(graph, self.embedding_config) for graph in graphs
-        ]
-        rollout, lengths = self._decode_queues(queues)
-        return queues, rollout, lengths
-
-    def _decode_queues(self, queues: Sequence[EncoderQueue]):
-        """One padded greedy decode over already-embedded ``queues``.
-
-        The one decode path: in-process calls reach it through
-        :meth:`_decode_batch`, decode workers with the queues a request
-        carried.  Returns ``(rollout, lengths)``; row ``b``'s real
-        actions are ``rollout.actions[b, :lengths[b]]``.
-        """
-        features, precedence, lengths = pad_queues(queues)
-        rollout = self._inference_policy.greedy_decode(
-            features,
-            precedence=precedence if self.constrain_topological else None,
-            lengths=lengths,
-        )
-        return rollout, lengths
-
-    def decode_orders(
-        self, graphs: Sequence[ComputationalGraph]
-    ) -> List[List[str]]:
-        """Greedily decode a node order for every graph in one batch.
-
-        The decode is stage-count independent (only the ``rho`` packing
-        consumes ``num_stages``), so callers that re-pack one order under
-        several stage counts or budgets need just one call.
-        """
-        graphs = list(graphs)
-        if not graphs:
-            return []
-        queues, rollout, lengths = self._decode_batch(graphs)
-        return [
-            queue.names_for(rollout.actions[b, : lengths[b]])
-            for b, queue in enumerate(queues)
-        ]
+        return self._schedule_decoded([graph], num_stages, self._decode_batch)[0]
 
     def schedule_batch(
         self,
@@ -307,44 +235,9 @@ class RespectScheduler:
         ``solve_time`` (batch wall-clock / B) and carries the batch size
         and total in ``extras``.
         """
-        graphs = list(graphs)
-        stage_counts = normalize_stage_counts(num_stages, len(graphs))
-        if not graphs:
-            return []
-        with Timer() as timer:
-            queues, rollout, lengths = self._decode_batch(graphs)
-            schedules: List[Schedule] = []
-            violations: List[int] = []
-            for b, graph in enumerate(graphs):
-                order = queues[b].names_for(rollout.actions[b, : lengths[b]])
-                raw = pack_sequence(
-                    graph,
-                    order,
-                    stage_counts[b],
-                    budget_slack=self.budget_slack,
-                )
-                violations.append(len(raw.dependency_violations()))
-                schedules.append(
-                    postprocess_schedule(
-                        raw, enforce_siblings=self.enforce_siblings
-                    )
-                )
-        amortized = timer.elapsed / len(graphs)
-        return [
-            ScheduleResult(
-                schedule=schedules[b],
-                solve_time=amortized,
-                method=self.method_name,
-                status="inference",
-                extras={
-                    "repaired_violations": violations[b],
-                    "log_prob": float(rollout.log_prob[b]),
-                    "batch_size": len(graphs),
-                    "batch_seconds": timer.elapsed,
-                },
-            )
-            for b in range(len(graphs))
-        ]
+        return self._schedule_decoded(
+            graphs, num_stages, self._decode_batch, amortized_over="batch"
+        )
 
     def schedule_stage_sweep(
         self, graph: ComputationalGraph, stage_counts: Sequence[int]
@@ -359,37 +252,124 @@ class RespectScheduler:
         total is in ``extras["sweep_seconds"]``.
         """
         counts = list(stage_counts)
-        counts = normalize_stage_counts(counts, len(counts))
-        if not counts:
+
+        def decode_once(graphs):
+            orders, log_probs = self._decode_batch(graphs[:1])
+            return orders * len(graphs), log_probs * len(graphs)
+
+        return self._schedule_decoded(
+            [graph] * len(counts), counts, decode_once, amortized_over="sweep"
+        )
+
+    def decode_orders(
+        self, graphs: Sequence[ComputationalGraph]
+    ) -> List[List[str]]:
+        """Greedily decode a node order for every graph in one batch.
+
+        The decode is stage-count independent (only the ``rho`` packing
+        consumes ``num_stages``), so callers that re-pack one order under
+        several stage counts or budgets need just one call.
+        """
+        graphs = list(graphs)
+        if not graphs:
             return []
+        return self._decode_batch(graphs)[0]
+
+    # ------------------------------------------------------------------
+    def _decode_batch(
+        self, graphs: Sequence[ComputationalGraph]
+    ) -> Tuple[List[List[str]], List[float]]:
+        """Embed ``graphs`` and run :meth:`_decode_queues` over them."""
+        return self._decode_queues(
+            [build_encoder_queue(graph, self.embedding_config) for graph in graphs]
+        )
+
+    def _decode_queues(
+        self, queues: Sequence[EncoderQueue]
+    ) -> Tuple[List[List[str]], List[float]]:
+        """One padded greedy decode over already-embedded ``queues``.
+
+        The one decode: in-process calls reach it through
+        :meth:`_decode_batch`, decode workers with the queues a request
+        carried.  Returns every queue's decoded node order and its
+        log-probability.
+        """
+        features, precedence, lengths = pad_queues(queues)
+        rollout = self._inference_policy.greedy_decode(
+            features,
+            precedence=precedence if self.constrain_topological else None,
+            lengths=lengths,
+        )
+        orders = [
+            queue.names_for(rollout.actions[b, : lengths[b]])
+            for b, queue in enumerate(queues)
+        ]
+        return orders, [float(rollout.log_prob[b]) for b in range(len(queues))]
+
+    def _schedule_decoded(
+        self,
+        graphs: Sequence[ComputationalGraph],
+        num_stages: Union[int, Sequence[int]],
+        decode: Callable[
+            [List[ComputationalGraph]], Tuple[Sequence[List[str]], Sequence[float]]
+        ],
+        amortized_over: Optional[str] = None,
+        postprocess_span: Optional[Callable[[int], ContextManager]] = None,
+        **extras: object,
+    ) -> List[ScheduleResult]:
+        """Decode ``graphs``, pack and repair every order, wrap the results.
+
+        The decode-to-schedule step of every entry point, in-process or
+        through a decode worker (``decode`` maps the graphs to their node
+        orders and log-probs).  Result ``i`` packs order ``i`` under stage
+        count ``i`` with ``rho`` and repairs it; a schedule with no
+        dependency violation and no sibling rule to apply is served as
+        packed.  ``solve_time`` is the wall clock over decode and packing,
+        split evenly over the results.  ``amortized_over`` (``"batch"`` or
+        ``"sweep"``) adds ``<name>_size`` and ``<name>_seconds`` extras;
+        ``extras`` are added to every result as given.
+        ``postprocess_span(len(graphs))`` opens a span around packing.
+        """
+        graphs = list(graphs)
+        stage_counts = normalize_stage_counts(num_stages, len(graphs))
+        if not graphs:
+            return []
+        packed: List[Tuple[Schedule, int]] = []
         with Timer() as timer:
-            queues, rollout, lengths = self._decode_batch([graph])
-            order = queues[0].names_for(rollout.actions[0, : lengths[0]])
-            schedules: List[Schedule] = []
-            violations: List[int] = []
-            for num_stages in counts:
-                raw = pack_sequence(
-                    graph, order, num_stages, budget_slack=self.budget_slack
-                )
-                violations.append(len(raw.dependency_violations()))
-                schedules.append(
-                    postprocess_schedule(
-                        raw, enforce_siblings=self.enforce_siblings
+            orders, log_probs = decode(graphs)
+            span = (
+                nullcontext()
+                if postprocess_span is None
+                else postprocess_span(len(graphs))
+            )
+            with span:
+                for graph, order, count in zip(graphs, orders, stage_counts):
+                    raw = pack_sequence(
+                        graph, order, count, budget_slack=self.budget_slack
                     )
-                )
-        amortized = timer.elapsed / len(counts)
+                    repairs = len(raw.dependency_violations())
+                    if repairs or self.enforce_siblings:
+                        raw = postprocess_schedule(
+                            raw, enforce_siblings=self.enforce_siblings
+                        )
+                    packed.append((raw, repairs))
+        if amortized_over is not None:
+            extras = {
+                f"{amortized_over}_size": len(graphs),
+                f"{amortized_over}_seconds": timer.elapsed,
+                **extras,
+            }
         return [
             ScheduleResult(
-                schedule=schedules[i],
-                solve_time=amortized,
+                schedule=schedule,
+                solve_time=timer.elapsed / len(graphs),
                 method=self.method_name,
                 status="inference",
                 extras={
-                    "repaired_violations": violations[i],
-                    "log_prob": float(rollout.log_prob[0]),
-                    "sweep_size": len(counts),
-                    "sweep_seconds": timer.elapsed,
+                    "repaired_violations": repairs,
+                    "log_prob": log_prob,
+                    **extras,
                 },
             )
-            for i in range(len(counts))
+            for (schedule, repairs), log_prob in zip(packed, log_probs)
         ]

@@ -19,15 +19,11 @@ violation.
 
 Payloads come in two shapes:
 
-* **Tagged JSON** (graphs, options, schedules, responses, store
-  entries).  Canonical UTF-8 JSON whose containers carry a type tag, so
-  every attr type the graph fingerprint distinguishes (``int`` vs
+* **Tagged JSON** (decode responses, store entries and tombstones).
+  Canonical UTF-8 JSON.  A store entry's provenance goes through a
+  tagged value codec whose containers carry a type tag, so ``int`` vs
   ``float`` vs ``bool``, ``tuple`` vs ``list``, ``set``/``frozenset``,
-  ``dict``, ``bytes``) survives a round trip exactly.  Graph payloads
-  are content-addressed: :func:`decode_graph` recomputes the
-  reconstruction's fingerprint and refuses a graph whose identity
-  drifted.  Edge replay reproduces both adjacency orderings, so a
-  decoded graph schedules like the original.
+  ``dict`` and ``bytes`` survive a round trip exactly.
 * **Encoder tensors** (decode requests, since wire v3).  The greedy
   decode needs only each graph's encoder queue: features, precedence
   and node names.  The parent embeds each graph once and ships a small
@@ -40,6 +36,10 @@ Payloads come in two shapes:
   after checking every length; it builds no graph and computes no
   fingerprint.  Decode requests only ever exist in flight, so v1/v2
   request frames (which carried whole graphs) are rejected, not decoded.
+
+Kinds 1, 4 and 5 (graph, schedule and options frames) are reserved: no
+process sends them any more, and their codecs are gone, but their
+numbers stay taken so no later kind can reuse them.
 """
 
 from __future__ import annotations
@@ -55,9 +55,7 @@ import numpy as np
 from repro.embedding.features import EmbeddingConfig
 from repro.embedding.queue import EncoderQueue, build_encoder_queue
 from repro.errors import WireFormatError
-from repro.graphs.dag import ComputationalGraph, OpNode, resource_value
-from repro.graphs.fingerprint import graph_fingerprint
-from repro.scheduling.schedule import Schedule
+from repro.graphs.dag import ComputationalGraph
 
 #: First bytes of every frame; rejects foreign byte streams immediately.
 MAGIC = b"RSPW"
@@ -82,7 +80,8 @@ _TENSOR_REQUEST_VERSION = 3
 
 #: Frame kinds.  A frame decoded as the wrong kind is an error, not a
 #: guess — the kind byte is how a worker distinguishes a request from a
-#: stray response.
+#: stray response.  Graph, schedule and options frames (1, 4, 5) are
+#: reserved: nothing encodes or decodes them any more.
 KIND_GRAPH = 1
 KIND_DECODE_REQUEST = 2
 KIND_DECODE_RESPONSE = 3
@@ -162,22 +161,9 @@ def _unframe_bytes(data: object, expected_kind: int) -> Tuple[int, bytes]:
         raise WireFormatError(
             f"wire payload must be bytes, got {type(data).__name__}"
         )
-    if len(data) < _HEADER.size:
-        raise WireFormatError(
-            f"truncated frame: {len(data)} bytes, header alone needs "
-            f"{_HEADER.size}"
-        )
-    magic, version, kind, length, crc = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise WireFormatError(
-            f"bad magic {magic!r}: not a RESPECT wire payload"
-        )
-    if version not in SUPPORTED_WIRE_VERSIONS:
-        raise WireFormatError(
-            f"unsupported wire version {version}; this build speaks "
-            f"versions {SUPPORTED_WIRE_VERSIONS}"
-        )
-    payload = data[_HEADER.size :]
+    frame_info(data)  # length, magic and version
+    _, version, kind, length, crc = _HEADER.unpack_from(data)
+    payload = data[HEADER_SIZE:]
     if len(payload) != length:
         raise WireFormatError(
             f"truncated payload: header declares {length} bytes, frame "
@@ -213,7 +199,7 @@ def _unframe(data: object, expected_kind: int) -> dict:
 # tagged value codec
 # ----------------------------------------------------------------------
 def _encode_value(value: object, where: str) -> object:
-    """JSON-encodable form of an attr value, preserving its exact type.
+    """JSON-encodable form of a value, preserving its exact type.
 
     Scalars pass through (JSON keeps ``int``/``float``/``bool``/``str``/
     ``None`` distinct, and ``repr``-based float serialization round-trips
@@ -291,174 +277,6 @@ def _decode_value(value: object, where: str) -> object:
     raise WireFormatError(
         f"unexpected JSON value of type {type(value).__name__} at {where}"
     )
-
-
-# ----------------------------------------------------------------------
-# graphs
-# ----------------------------------------------------------------------
-def _edge_replay_sequence(graph: ComputationalGraph) -> List[Tuple[int, int]]:
-    """An edge order whose replay reproduces both adjacency orderings.
-
-    ``add_edge`` appends to the source's child list and the destination's
-    parent list, so replaying edges in an order consistent with *both*
-    per-node orderings reconstructs them exactly.  Such an order always
-    exists for graphs built through the :class:`ComputationalGraph` API
-    (the original insertion sequence is one); the two-pointer merge below
-    finds one, or raises if handed adjacency lists no single sequence can
-    produce.
-    """
-    index = graph.build_index()
-    names = graph.node_names
-    child_chain = {u: graph.children(u) for u in names}
-    parent_chain = {v: graph.parents(v) for v in names}
-    child_ptr = {u: 0 for u in names}
-    parent_ptr = {v: 0 for v in names}
-    sequence: List[Tuple[int, int]] = []
-    total = graph.num_edges
-    progress = True
-    while len(sequence) < total and progress:
-        progress = False
-        for v in names:
-            while parent_ptr[v] < len(parent_chain[v]):
-                u = parent_chain[v][parent_ptr[v]]
-                if child_chain[u][child_ptr[u]] != v:
-                    break
-                sequence.append((index[u], index[v]))
-                child_ptr[u] += 1
-                parent_ptr[v] += 1
-                progress = True
-    if len(sequence) < total:
-        raise WireFormatError(
-            f"graph {graph.name!r} has adjacency orderings no edge-insertion "
-            f"sequence reproduces; it was not built through the "
-            f"ComputationalGraph API"
-        )
-    return sequence
-
-
-def _graph_to_payload(graph: ComputationalGraph) -> dict:
-    nodes = []
-    for node in graph.nodes:
-        where = f"attr of node {node.name!r}"
-        nodes.append(
-            [
-                node.name,
-                node.op_type,
-                # Plain ints for JSON (numpy integers are legal node
-                # fields), coerced exactly as the fingerprint reads them.
-                resource_value(node, "param_bytes"),
-                resource_value(node, "output_bytes"),
-                resource_value(node, "macs"),
-                [
-                    [_encode_value(k, where), _encode_value(v, where)]
-                    for k, v in node.attrs.items()
-                ],
-            ]
-        )
-    return {
-        "name": graph.name,
-        "fingerprint": graph_fingerprint(graph),
-        "nodes": nodes,
-        "edges": [[u, v] for u, v in _edge_replay_sequence(graph)],
-    }
-
-
-def _graph_from_payload(payload: dict) -> ComputationalGraph:
-    name = payload.get("name")
-    nodes = payload.get("nodes")
-    edges = payload.get("edges")
-    if not isinstance(name, str) or not isinstance(nodes, list) or not isinstance(edges, list):
-        raise WireFormatError("graph payload misses name/nodes/edges fields")
-    graph = ComputationalGraph(name=name)
-    order: List[str] = []
-    for entry in nodes:
-        if not isinstance(entry, list) or len(entry) != 6:
-            raise WireFormatError(f"malformed graph node entry: {entry!r}")
-        node_name, op_type, param_bytes, output_bytes, macs, attr_items = entry
-        if not isinstance(attr_items, list):
-            raise WireFormatError(
-                f"malformed attrs for node {node_name!r}"
-            )
-        where = f"attr of node {node_name!r}"
-        attrs = {}
-        for item in attr_items:
-            if not isinstance(item, list) or len(item) != 2:
-                raise WireFormatError(f"malformed attr entry at {where}")
-            attrs[_decode_value(item[0], where)] = _decode_value(item[1], where)
-        try:
-            # add_node (not add_op) so attr keys can never collide with
-            # the constructor's parameter names.
-            graph.add_node(
-                OpNode(
-                    name=node_name,
-                    op_type=op_type,
-                    param_bytes=param_bytes,
-                    output_bytes=output_bytes,
-                    macs=macs,
-                    attrs=attrs,
-                )
-            )
-        except Exception as exc:
-            raise WireFormatError(
-                f"graph payload holds an invalid node {node_name!r}: {exc}"
-            ) from exc
-        order.append(node_name)
-    for entry in edges:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(i, int) for i in entry)
-            or not all(0 <= i < len(order) for i in entry)
-        ):
-            raise WireFormatError(f"malformed graph edge entry: {entry!r}")
-        try:
-            graph.add_edge(order[entry[0]], order[entry[1]])
-        except Exception as exc:
-            raise WireFormatError(
-                f"graph payload holds an invalid edge {entry!r}: {exc}"
-            ) from exc
-    declared = payload.get("fingerprint")
-    actual = graph_fingerprint(graph)
-    if declared != actual:
-        raise WireFormatError(
-            f"graph fingerprint mismatch after decode: payload declares "
-            f"{declared!r}, reconstruction hashes to {actual!r}"
-        )
-    return graph
-
-
-def encode_graph(graph: ComputationalGraph) -> bytes:
-    """Serialize ``graph`` (with its embedded content fingerprint)."""
-    return _frame(KIND_GRAPH, _graph_to_payload(graph))
-
-
-def decode_graph(data: bytes) -> ComputationalGraph:
-    """Reconstruct a graph; verifies the embedded fingerprint."""
-    return _graph_from_payload(_unframe(data, KIND_GRAPH))
-
-
-# ----------------------------------------------------------------------
-# scheduler options
-# ----------------------------------------------------------------------
-def encode_options(options: Dict[str, object]) -> bytes:
-    """Serialize a scheduler-options mapping (tagged, order-preserving)."""
-    if not isinstance(options, dict):
-        raise WireFormatError(
-            f"options must be a dict, got {type(options).__name__}"
-        )
-    return _frame(
-        KIND_OPTIONS,
-        {"options": _encode_value(options, "scheduler options")},
-    )
-
-
-def decode_options(data: bytes) -> Dict[str, object]:
-    """Inverse of :func:`encode_options`."""
-    payload = _unframe(data, KIND_OPTIONS)
-    options = _decode_value(payload.get("options"), "scheduler options")
-    if not isinstance(options, dict):
-        raise WireFormatError("options payload root must decode to a dict")
-    return options
 
 
 # ----------------------------------------------------------------------
@@ -736,87 +554,6 @@ def decode_decode_response(data: bytes) -> DecodeResponse:
 
 
 # ----------------------------------------------------------------------
-# schedules
-# ----------------------------------------------------------------------
-@dataclass
-class WireSchedule:
-    """A schedule detached from its graph object.
-
-    The wire carries stage indices in graph insertion order plus the
-    graph's fingerprint; :meth:`bind` re-attaches the schedule to a live
-    graph, refusing a graph whose fingerprint differs from the one the
-    schedule was computed for.
-    """
-
-    graph_fingerprint: str
-    num_stages: int
-    stages: List[int]
-
-    def bind(self, graph: ComputationalGraph) -> Schedule:
-        actual = graph_fingerprint(graph)
-        if actual != self.graph_fingerprint:
-            raise WireFormatError(
-                f"schedule was computed for graph {self.graph_fingerprint!r} "
-                f"but is being bound to {actual!r}"
-            )
-        names = graph.node_names
-        if len(names) != len(self.stages):
-            raise WireFormatError(
-                f"schedule carries {len(self.stages)} stage entries for a "
-                f"{len(names)}-node graph"
-            )
-        return Schedule(
-            graph, self.num_stages, dict(zip(names, self.stages))
-        )
-
-
-def encode_schedule(schedule: Schedule) -> bytes:
-    """Serialize ``schedule`` keyed by its graph's content fingerprint."""
-    return _frame(
-        KIND_SCHEDULE,
-        {
-            "fingerprint": graph_fingerprint(schedule.graph),
-            "num_stages": schedule.num_stages,
-            "stages": [
-                schedule.assignment[name]
-                for name in schedule.graph.node_names
-            ],
-        },
-    )
-
-
-def decode_schedule(data: bytes) -> WireSchedule:
-    """Inverse of :func:`encode_schedule`; bind with a live graph."""
-    payload = _unframe(data, KIND_SCHEDULE)
-    fingerprint = payload.get("fingerprint")
-    num_stages = payload.get("num_stages")
-    stages = payload.get("stages")
-    if (
-        not isinstance(fingerprint, str)
-        or not isinstance(num_stages, int)
-        or isinstance(num_stages, bool)
-        or not isinstance(stages, list)
-    ):
-        raise WireFormatError(
-            "schedule payload misses fingerprint/num_stages/stages"
-        )
-    if num_stages < 1:
-        raise WireFormatError(f"schedule declares {num_stages} stages")
-    clean: List[int] = []
-    for stage in stages:
-        if not isinstance(stage, int) or isinstance(stage, bool):
-            raise WireFormatError(f"malformed stage index: {stage!r}")
-        if not 0 <= stage < num_stages:
-            raise WireFormatError(
-                f"stage index {stage} outside [0, {num_stages})"
-            )
-        clean.append(stage)
-    return WireSchedule(
-        graph_fingerprint=fingerprint, num_stages=num_stages, stages=clean
-    )
-
-
-# ----------------------------------------------------------------------
 # schedule-store entries / tombstones
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -993,17 +730,10 @@ __all__ = [
     "DecodeResponse",
     "StoreEntryRecord",
     "StoreTombstoneRecord",
-    "WireSchedule",
-    "encode_graph",
-    "decode_graph",
-    "encode_options",
-    "decode_options",
     "encode_decode_request",
     "decode_decode_request",
     "encode_decode_response",
     "decode_decode_response",
-    "encode_schedule",
-    "decode_schedule",
     "encode_store_entry",
     "decode_store_entry",
     "encode_store_tombstone",

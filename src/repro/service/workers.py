@@ -31,8 +31,9 @@ decode into *processes*:
     ``RespectScheduler._decode_queues``, the same padded decode the
     in-process path runs, and returns node orders and log-probs.  The
     ``rho`` packing and post-processing stay in-process (they are cheap
-    and graph-object bound).  No graph crosses the pipe, so the worker
-    neither rebuilds nor fingerprints one.
+    and graph-object bound) and are the wrapped scheduler's own step:
+    the adapter only swaps in the remote decode.  No graph crosses the
+    pipe, so the worker neither rebuilds nor fingerprints one.
 
 **Bit-identity as a checked invariant.**  The worker does not trust that
 it rebuilt the right scheduler: after loading a weights epoch it
@@ -71,14 +72,11 @@ from dataclasses import dataclass
 from multiprocessing import connection
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import DecodeWorkerError, SchedulingError, ServiceError
+from repro.errors import DecodeWorkerError, ServiceError
 from repro.graphs.dag import ComputationalGraph
 from repro.obs.trace import NOOP_SPAN, current_span
-from repro.scheduling.postprocess import postprocess_schedule
 from repro.scheduling.schedule import ScheduleResult
-from repro.scheduling.sequence import normalize_stage_counts, pack_sequence
 from repro.service import wire
-from repro.utils.timing import Timer
 
 #: Maximum times one decode task is resubmitted after worker crashes
 #: before it fails with :class:`DecodeWorkerError`.
@@ -157,12 +155,7 @@ class _WorkerDecoder:
                 f"{self.epoch} embeds with {expected}"
             )
         queues = request.queues
-        rollout, lengths = self.scheduler._decode_queues(queues)  # type: ignore[attr-defined]
-        orders = [
-            queue.names_for(rollout.actions[b, : lengths[b]])
-            for b, queue in enumerate(queues)
-        ]
-        log_probs = [float(rollout.log_prob[b]) for b in range(len(queues))]
+        orders, log_probs = self.scheduler._decode_queues(queues)  # type: ignore[attr-defined]
         spans = None
         if request.trace is not None:
             # No tracer lives in the worker process: the sub-span is a
@@ -348,22 +341,17 @@ class DecodeWorkerPool:
         directory, and returns the epoch token to tag decode requests
         with.  Workers retarget lazily: the first task tagged with the
         new epoch makes its worker reload — no pause, no coordination.
+        Anything but a :class:`~repro.rl.respect.RespectScheduler` raises
+        :class:`ServiceError`.
         """
         from repro.rl.checkpoints import checkpoint_metadata, save_checkpoint
 
-        policy = getattr(scheduler, "inference_policy", None)
-        if policy is None:
-            policy = getattr(scheduler, "policy", None)
-        if policy is None:
+        if not supports_worker_decode(scheduler):
             raise ServiceError(
-                f"{type(scheduler).__name__} exposes no inference_policy/"
-                f"policy to publish"
+                f"{type(scheduler).__name__} is not a RespectScheduler; only "
+                f"RESPECT schedulers can run in decode workers"
             )
-        if not callable(getattr(scheduler, "decode_config", None)):
-            raise ServiceError(
-                f"{type(scheduler).__name__} exposes no decode_config(); "
-                f"only RESPECT-style schedulers can run in decode workers"
-            )
+        policy = scheduler.inference_policy  # type: ignore[attr-defined]
         config = scheduler.decode_config()  # type: ignore[attr-defined]
         with self._lock:
             if self._closed:
@@ -689,34 +677,23 @@ class DecodeWorkerPool:
 def supports_worker_decode(scheduler: object) -> bool:
     """Can ``scheduler`` run its decode in a :class:`DecodeWorkerPool`?
 
-    True only for RESPECT-style schedulers: a frozen
-    ``inference_policy``, an ``embedding_config``, packing options and a
-    weight-covering ``options_fingerprint()`` / ``decode_config()`` pair.
-    Heuristic baselines (and already-wrapped adapters) return False, so
-    callers can unconditionally attempt wrapping and fall back to
-    in-process serving.
+    True only for a :class:`~repro.rl.respect.RespectScheduler`, the one
+    scheduler a worker can rebuild from published weights.  Heuristic
+    baselines (and already-wrapped adapters) return False, so callers
+    can unconditionally attempt wrapping and fall back to in-process
+    serving.
     """
-    if isinstance(scheduler, WorkerDecodeScheduler):
-        return False
-    from repro.rl.ptrnet import PointerNetworkPolicy
+    from repro.rl.respect import RespectScheduler
 
-    policy = getattr(scheduler, "inference_policy", None)
-    if not isinstance(policy, PointerNetworkPolicy):
-        return False
-    if getattr(scheduler, "embedding_config", None) is None:
-        return False
-    if not callable(getattr(scheduler, "options_fingerprint", None)):
-        return False
-    if not callable(getattr(scheduler, "decode_config", None)):
-        return False
-    return all(
-        hasattr(scheduler, attr)
-        for attr in (
-            "budget_slack",
-            "enforce_siblings",
-            "constrain_topological",
-        )
-    )
+    return isinstance(scheduler, RespectScheduler)
+
+
+def _postprocess_span(batch_size: int):
+    """A ``postprocess`` child of the active span (no-op when untraced)."""
+    parent = current_span()
+    if parent is None:
+        return NOOP_SPAN
+    return parent.child("postprocess", batch_size=batch_size)
 
 
 def unwrap_scheduler(scheduler: object) -> object:
@@ -737,11 +714,12 @@ class WorkerDecodeScheduler:
 
     Wraps a :class:`~repro.rl.respect.RespectScheduler` (``inner``) whose
     weights were published to ``pool`` as ``epoch``.  ``schedule`` /
-    ``schedule_batch`` embed the graphs, ship their encoder queues in
-    one wire decode request, decode in a worker process, then pack and
-    post-process *in-process* with the inner scheduler's exact options
-    — so results are bit-identical to calling the inner scheduler
-    directly (the worker checks this, see the module docstring).
+    ``schedule_batch`` run the inner scheduler's own decode-to-schedule
+    step with one substitution: the decode embeds the graphs, ships
+    their encoder queues in one wire decode request and decodes in a
+    worker process.  Packing and post-processing stay *in-process* and
+    are the inner scheduler's, so results are bit-identical to calling
+    it directly (the worker checks this, see the module docstring).
 
     ``options_fingerprint()`` delegates to the inner scheduler: cache
     keys are unchanged by where the decode runs, which is precisely the
@@ -841,38 +819,13 @@ class WorkerDecodeScheduler:
         self, graph: ComputationalGraph, num_stages: int
     ) -> ScheduleResult:
         """Bit-identical to ``inner.schedule`` with a worker-side decode."""
-        if num_stages < 1:
-            raise SchedulingError("num_stages must be at least 1")
-        inner = self._inner
-        parent = current_span()
-        with Timer() as timer:
-            orders, log_probs = self._decode_remote([graph])
-            pp_span = (
-                parent.child("postprocess") if parent is not None else NOOP_SPAN
-            )
-            with pp_span:
-                raw = pack_sequence(
-                    graph,
-                    orders[0],
-                    num_stages,
-                    budget_slack=inner.budget_slack,  # type: ignore[attr-defined]
-                )
-                violations = len(raw.dependency_violations())
-                schedule = postprocess_schedule(
-                    raw,
-                    enforce_siblings=inner.enforce_siblings,  # type: ignore[attr-defined]
-                )
-        return ScheduleResult(
-            schedule=schedule,
-            solve_time=timer.elapsed,
-            method=self.method_name,
-            status="inference",
-            extras={
-                "repaired_violations": violations,
-                "log_prob": log_probs[0],
-                "worker_decode": True,
-            },
-        )
+        return self._inner._schedule_decoded(  # type: ignore[attr-defined]
+            [graph],
+            num_stages,
+            self._decode_remote,
+            postprocess_span=_postprocess_span,
+            worker_decode=True,
+        )[0]
 
     def schedule_batch(
         self,
@@ -880,53 +833,14 @@ class WorkerDecodeScheduler:
         num_stages: Union[int, Sequence[int]],
     ) -> List[ScheduleResult]:
         """Bit-identical to ``inner.schedule_batch`` (one worker decode)."""
-        graphs = list(graphs)
-        stage_counts = normalize_stage_counts(num_stages, len(graphs))
-        if not graphs:
-            return []
-        inner = self._inner
-        parent = current_span()
-        with Timer() as timer:
-            orders, log_probs = self._decode_remote(graphs)
-            pp_span = (
-                parent.child("postprocess", batch_size=len(graphs))
-                if parent is not None
-                else NOOP_SPAN
-            )
-            with pp_span:
-                schedules = []
-                violations = []
-                for b, graph in enumerate(graphs):
-                    raw = pack_sequence(
-                        graph,
-                        orders[b],
-                        stage_counts[b],
-                        budget_slack=inner.budget_slack,  # type: ignore[attr-defined]
-                    )
-                    violations.append(len(raw.dependency_violations()))
-                    schedules.append(
-                        postprocess_schedule(
-                            raw,
-                            enforce_siblings=inner.enforce_siblings,  # type: ignore[attr-defined]
-                        )
-                    )
-        amortized = timer.elapsed / len(graphs)
-        return [
-            ScheduleResult(
-                schedule=schedules[b],
-                solve_time=amortized,
-                method=self.method_name,
-                status="inference",
-                extras={
-                    "repaired_violations": violations[b],
-                    "log_prob": log_probs[b],
-                    "batch_size": len(graphs),
-                    "batch_seconds": timer.elapsed,
-                    "worker_decode": True,
-                },
-            )
-            for b in range(len(graphs))
-        ]
+        return self._inner._schedule_decoded(  # type: ignore[attr-defined]
+            graphs,
+            num_stages,
+            self._decode_remote,
+            amortized_over="batch",
+            postprocess_span=_postprocess_span,
+            worker_decode=True,
+        )
 
 
 __all__ = [

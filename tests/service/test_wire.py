@@ -1,12 +1,11 @@
 """Tests for the versioned wire format (:mod:`repro.service.wire`).
 
-Round trips must preserve graph identity *exactly* (content fingerprint
-and both adjacency orderings), decode requests must hand the worker the
-sender's encoder queues byte for byte, and every way a payload can be
-bad — truncation, foreign bytes, version skew, checksum corruption, the
-wrong frame kind, unsupported attr types, inconsistent array lengths —
-must raise a :class:`~repro.errors.WireFormatError` that names the
-violation.
+Decode requests must hand the worker the sender's encoder queues byte
+for byte, store-entry provenance must keep every tagged value type
+exactly, and every way a payload can be bad — truncation, foreign
+bytes, version skew, checksum corruption, the wrong frame kind,
+unsupported value types, inconsistent array lengths — must raise a
+:class:`~repro.errors.WireFormatError` that names the violation.
 """
 
 import json
@@ -21,12 +20,10 @@ from repro.embedding.queue import build_encoder_queue
 from repro.errors import WireFormatError
 from repro.graphs import fingerprint as fingerprint_module
 from repro.graphs.dag import ComputationalGraph
-from repro.graphs.fingerprint import graph_fingerprint
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.models.zoo import FIG4_MODELS, build_model
-from repro.scheduling.heuristics import ListScheduler
 from repro.service import wire
-from repro.service.wire import StoreEntryRecord
+from repro.service.wire import StoreEntryRecord, StoreTombstoneRecord
 from repro.tpu.quantize import quantize_graph
 
 
@@ -38,127 +35,121 @@ def graphs():
     ]
 
 
-def exotic_graph() -> ComputationalGraph:
-    """A graph whose attrs span every type the fingerprint distinguishes."""
-    g = ComputationalGraph(name="exotic")
-    g.add_op(
-        "a",
-        op_type="input",
-        output_bytes=10,
-        shape=(1, 3, 224, 224),          # tuple
-        tags={"vision", "input"},        # set
-        frozen=frozenset({1, 2}),        # frozenset
-        quant={"mode": "int8", "axes": [0, 1]},  # nested dict/list
-        digest=b"\x00\xffRSPW",          # bytes
-        ratio=0.25,
-        count=3,
-        flag=True,
-        note=None,
+def store_record(**overrides) -> StoreEntryRecord:
+    fields = dict(
+        namespace="default", fingerprint="f" * 64, num_stages=2,
+        options_key="k", assignment={"a": 0, "b": 1}, method="respect",
+        objective=1.5, status="inference", solve_time=0.25,
     )
-    g.add_op("b", op_type="conv2d", param_bytes=64, output_bytes=20,
-             macs=100, inputs=["a"])
-    g.add_op("c", op_type="add", output_bytes=20, inputs=["a", "b"])
-    return g
+    fields.update(overrides)
+    return StoreEntryRecord(**fields)
 
 
-class TestGraphRoundTrip:
-    def test_fingerprint_and_structure_preserved(self, graphs):
-        for graph in graphs:
-            decoded = wire.decode_graph(wire.encode_graph(graph))
-            assert graph_fingerprint(decoded) == graph_fingerprint(graph)
-            assert decoded.node_names == graph.node_names
-            for name in graph.node_names:
-                assert decoded.parents(name) == graph.parents(name)
-                assert decoded.children(name) == graph.children(name)
+@pytest.fixture
+def frames():
+    """One frame of each kind that is still sent, with its decoder."""
+    return [
+        (wire.encode_store_entry(store_record()), wire.decode_store_entry),
+        (
+            wire.encode_decode_response([["a", "b"], ["c"]], [-1.25, -0.5]),
+            wire.decode_decode_response,
+        ),
+    ]
 
-    def test_exotic_attr_types_survive_exactly(self):
-        graph = exotic_graph()
-        decoded = wire.decode_graph(wire.encode_graph(graph))
-        assert graph_fingerprint(decoded) == graph_fingerprint(graph)
-        attrs = decoded.node("a").attrs
-        original = graph.node("a").attrs
-        for key, value in original.items():
-            assert attrs[key] == value
-            assert type(attrs[key]) is type(value)
 
-    def test_decoded_graph_schedules_identically(self, graphs):
-        # The replayed adjacency orderings must reproduce heuristic
-        # tie-breaking, not just the fingerprint.
-        scheduler = ListScheduler()
-        for graph in graphs:
-            decoded = wire.decode_graph(wire.encode_graph(graph))
-            assert (
-                scheduler.schedule(decoded, 4).schedule.assignment
-                == scheduler.schedule(graph, 4).schedule.assignment
-            )
+class TestStoreEntryProvenance:
+    def test_exotic_value_types_survive_exactly(self):
+        provenance = {
+            "shape": (1, 3, 224, 224),                 # tuple
+            "tags": {"vision", "input"},               # set
+            "frozen": frozenset({1, 2}),               # frozenset
+            "quant": {"mode": "int8", "axes": [0, 1]},  # nested dict/list
+            "digest": b"\x00\xffRSPW",                 # bytes
+            "ratio": 0.25,
+            "count": 3,
+            "flag": True,
+            "note": None,
+        }
+        record = store_record(provenance=provenance)
+        decoded = wire.decode_store_entry(wire.encode_store_entry(record))
+        assert decoded == record
+        for key, value in provenance.items():
+            assert decoded.provenance[key] == value
+            assert type(decoded.provenance[key]) is type(value)
+        assert type(decoded.provenance["quant"]["axes"]) is list
 
-    def test_numpy_int_resources_encode_as_their_plain_twin(self):
-        def one_node(cast):
-            g = ComputationalGraph(name="np")
-            g.add_op(
-                "a",
-                op_type="conv2d",
-                param_bytes=cast(5),
-                output_bytes=cast(7),
-                macs=cast(11),
-            )
-            return g
-
-        plain, numpy_ints = one_node(int), one_node(np.int64)
-        decoded = wire.decode_graph(wire.encode_graph(numpy_ints))
-        assert graph_fingerprint(decoded) == graph_fingerprint(plain)
-        assert wire.encode_graph(numpy_ints) == wire.encode_graph(plain)
-        assert type(decoded.node("a").param_bytes) is int
-
-    def test_unsupported_attr_type_is_rejected_at_encode(self):
-        g = ComputationalGraph(name="bad")
-        g.add_op("a", op_type="input", output_bytes=1, payload=object())
+    def test_unsupported_value_type_is_rejected_at_encode(self):
+        record = store_record(provenance={"payload": object()})
         with pytest.raises(WireFormatError, match="unsupported value type"):
-            wire.encode_graph(g)
+            wire.encode_store_entry(record)
 
 
 class TestFraming:
-    def test_truncated_header(self, graphs):
-        data = wire.encode_graph(graphs[0])
-        with pytest.raises(WireFormatError, match="truncated frame"):
-            wire.decode_graph(data[:8])
+    def test_truncated_header(self, frames):
+        for data, decode in frames:
+            with pytest.raises(WireFormatError, match="truncated frame"):
+                decode(data[:8])
 
-    def test_truncated_payload(self, graphs):
-        data = wire.encode_graph(graphs[0])
-        with pytest.raises(WireFormatError, match="truncated payload"):
-            wire.decode_graph(data[:-3])
+    def test_truncated_payload(self, frames):
+        for data, decode in frames:
+            with pytest.raises(WireFormatError, match="truncated payload"):
+                decode(data[:-3])
 
-    def test_bad_magic(self, graphs):
-        data = wire.encode_graph(graphs[0])
-        with pytest.raises(WireFormatError, match="bad magic"):
-            wire.decode_graph(b"NOPE" + data[4:])
+    def test_bad_magic(self, frames):
+        for data, decode in frames:
+            with pytest.raises(WireFormatError, match="bad magic"):
+                decode(b"NOPE" + data[4:])
 
-    def test_wrong_version(self, graphs):
-        data = bytearray(wire.encode_graph(graphs[0]))
-        data[4] = wire.WIRE_VERSION + 1
-        with pytest.raises(WireFormatError, match="unsupported wire version"):
-            wire.decode_graph(bytes(data))
+    def test_wrong_version(self, frames):
+        for data, decode in frames:
+            data = bytearray(data)
+            data[4] = wire.WIRE_VERSION + 1
+            with pytest.raises(
+                WireFormatError, match="unsupported wire version"
+            ):
+                decode(bytes(data))
 
-    def test_checksum_corruption(self, graphs):
-        data = bytearray(wire.encode_graph(graphs[0]))
-        data[-1] ^= 0xFF
-        with pytest.raises(WireFormatError, match="checksum mismatch"):
-            wire.decode_graph(bytes(data))
+    def test_checksum_corruption(self, frames):
+        for data, decode in frames:
+            data = bytearray(data)
+            data[-1] ^= 0xFF
+            with pytest.raises(WireFormatError, match="checksum mismatch"):
+                decode(bytes(data))
 
-    def test_wrong_kind(self, graphs):
-        data = wire.encode_graph(graphs[0])
+    def test_wrong_kind(self, frames):
+        entry, response = frames[0][0], frames[1][0]
         with pytest.raises(WireFormatError, match="expected decode-request"):
-            wire.decode_decode_request(data)
+            wire.decode_decode_request(entry)
+        with pytest.raises(
+            WireFormatError, match="decode-response payload, expected store-entry"
+        ):
+            wire.decode_store_entry(response)
+        # The reserved kinds still name themselves in the error.
+        for kind, name in (
+            (wire.KIND_GRAPH, "graph"),
+            (wire.KIND_SCHEDULE, "schedule"),
+            (wire.KIND_OPTIONS, "options"),
+        ):
+            with pytest.raises(
+                WireFormatError, match=f"a {name} payload, expected store-entry"
+            ):
+                wire.decode_store_entry(reseal(kind, b"{}"))
 
-    def test_non_bytes_input(self):
-        with pytest.raises(WireFormatError, match="must be bytes"):
-            wire.decode_graph("not bytes")
+    def test_non_bytes_input(self, frames):
+        for _, decode in frames:
+            with pytest.raises(WireFormatError, match="must be bytes"):
+                decode("not bytes")
 
-    def test_header_layout_is_stable(self):
+    def test_header_layout_is_stable(self, frames):
         # The frame layout is the cross-process ABI; catching accidental
         # struct changes here beats debugging version skew in workers.
         assert wire.MAGIC == b"RSPW"
         assert wire._HEADER.size == struct.calcsize("<4sBBQI")
+        for data, _ in frames:
+            magic, version, kind, length, crc = wire._HEADER.unpack_from(data)
+            assert (magic, version) == (wire.MAGIC, wire.WIRE_VERSION)
+            assert wire.frame_info(data) == (kind, len(data))
+            assert zlib.crc32(data[wire.HEADER_SIZE :]) == crc
 
 
 def reseal(kind: int, body: bytes, version: int = wire.WIRE_VERSION) -> bytes:
@@ -266,9 +257,6 @@ class TestDecodeRequestResponse:
         monkeypatch.setattr(
             fingerprint_module, "graph_fingerprint", forbidden("fingerprint")
         )
-        monkeypatch.setattr(
-            wire, "graph_fingerprint", forbidden("fingerprint")
-        )
         request = wire.decode_decode_request(data)
         assert len(request.queues) == len(graphs)
         assert calls == []
@@ -337,73 +325,32 @@ class TestDecodeRequestResponse:
             wire.encode_decode_response([["a"]], [-1.0, -2.0])
 
 
+class TestStoreEntryValidation:
+    def test_out_of_range_stage_is_rejected(self):
+        # Re-seal length + crc so only the semantic check can catch it.
+        data = wire.encode_store_entry(store_record())
+        payload = json.loads(data[wire.HEADER_SIZE :])
+        payload["assignment"][0][1] = payload["num_stages"] + 7
+        body = json.dumps(payload, separators=(",", ":")).encode()
+        with pytest.raises(WireFormatError, match="outside"):
+            wire.decode_store_entry(reseal(wire.KIND_STORE_ENTRY, body))
+
+
 class TestOlderVersions:
     @pytest.mark.parametrize("version", [1, 2])
-    def test_store_and_schedule_frames_still_decode(self, graphs, version):
-        record = StoreEntryRecord(
-            namespace="default", fingerprint="f" * 64, num_stages=2,
-            options_key="k", assignment={"a": 0, "b": 1}, method="respect",
-            objective=1.5, status="inference", solve_time=0.25,
-        )
-        entry = bytearray(wire.encode_store_entry(record))
-        entry[4] = version
-        assert wire.decode_store_entry(bytes(entry)) == record
-        schedule = ListScheduler().schedule(graphs[0], 4).schedule
-        frame = bytearray(wire.encode_schedule(schedule))
-        frame[4] = version
-        bound = wire.decode_schedule(bytes(frame)).bind(graphs[0])
-        assert bound.assignment == schedule.assignment
-
-
-class TestSchedule:
-    def test_round_trip_binds_to_matching_graph(self, graphs):
-        graph = graphs[0]
-        result = ListScheduler().schedule(graph, 4)
-        bound = wire.decode_schedule(
-            wire.encode_schedule(result.schedule)
-        ).bind(graph)
-        assert bound.assignment == result.schedule.assignment
-        assert bound.graph is graph
-
-    def test_bind_refuses_mismatched_graph(self, graphs):
-        result = ListScheduler().schedule(graphs[0], 4)
-        decoded = wire.decode_schedule(wire.encode_schedule(result.schedule))
-        with pytest.raises(WireFormatError, match="bound to"):
-            decoded.bind(graphs[1])
-
-    def test_out_of_range_stage_is_rejected(self, graphs):
-        result = ListScheduler().schedule(graphs[0], 4)
-        data = bytearray(wire.encode_schedule(result.schedule))
-        # Corrupt the JSON payload, then re-seal length + crc so only
-        # the semantic validation can catch it.
-        import json
-        import zlib
-
-        payload = json.loads(bytes(data[wire._HEADER.size:]))
-        payload["stages"][0] = payload["num_stages"] + 7
-        body = json.dumps(payload, separators=(",", ":")).encode()
-        frame = wire._HEADER.pack(
-            wire.MAGIC, wire.WIRE_VERSION, wire.KIND_SCHEDULE,
-            len(body), zlib.crc32(body),
-        ) + body
-        with pytest.raises(WireFormatError, match="outside"):
-            wire.decode_schedule(frame)
-
-
-class TestOptions:
-    def test_round_trip_preserves_types_and_order(self):
-        options = {
-            "method": "respect",
-            "budget_slack": 1.5,
-            "enforce_siblings": True,
-            "stages": (2, 4),
-            "extra": {"nested": [1, 2.0, None]},
-        }
-        decoded = wire.decode_options(wire.encode_options(options))
-        assert decoded == options
-        assert list(decoded) == list(options)
-        assert type(decoded["stages"]) is tuple
-
-    def test_non_dict_is_rejected(self):
-        with pytest.raises(WireFormatError, match="must be a dict"):
-            wire.encode_options(["not", "a", "dict"])
+    def test_store_and_schedule_frames_still_decode(self, version):
+        # Store entries are the persisted schedules; a store written by
+        # an older build replays its entries and tombstones.
+        record = store_record(provenance={"epoch": 3, "shape": (2, 2)})
+        tombstone = StoreTombstoneRecord(namespace="default", options_key="k")
+        for data, decode, expected in (
+            (wire.encode_store_entry(record), wire.decode_store_entry, record),
+            (
+                wire.encode_store_tombstone(tombstone),
+                wire.decode_store_tombstone,
+                tombstone,
+            ),
+        ):
+            frame = bytearray(data)
+            frame[4] = version
+            assert decode(bytes(frame)) == expected

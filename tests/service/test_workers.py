@@ -58,6 +58,10 @@ class TestPredicates:
         assert supports_worker_decode(respect)
         assert not supports_worker_decode(ListScheduler())
 
+    def test_only_respect_schedulers_publish(self, shared_pool):
+        with pytest.raises(ServiceError, match="not a RespectScheduler"):
+            shared_pool.publish_scheduler(ListScheduler())
+
     def test_wrapped_scheduler_is_not_rewrappable(self, respect, shared_pool):
         epoch = shared_pool.publish_scheduler(respect)
         wrapped = WorkerDecodeScheduler(respect, shared_pool, epoch)
@@ -77,29 +81,55 @@ class TestPredicates:
         assert wrapped.budget_slack == respect.budget_slack
 
 
+@pytest.fixture(scope="module")
+def variants(respect):
+    """The default scheduler, the unconstrained decoder (whose orders
+    need dependency repair) and a fixed packing budget."""
+    return [
+        respect,
+        RespectScheduler(policy=respect.policy, constrain_topological=False),
+        RespectScheduler(policy=respect.policy, budget_slack=1.05),
+    ]
+
+
+def assert_same_result(remote, local):
+    assert remote.schedule.assignment == local.schedule.assignment
+    assert remote.extras["log_prob"] == local.extras["log_prob"]
+    assert remote.objective == local.objective
+    assert remote.status == local.status
+    assert remote.method == local.method
+    assert (
+        remote.extras["repaired_violations"]
+        == local.extras["repaired_violations"]
+    )
+    assert set(remote.extras) == set(local.extras) | {"worker_decode"}
+    assert remote.extras["worker_decode"] is True
+
+
 class TestBitIdentity:
     def test_adapter_schedule_matches_in_process(
-        self, respect, shared_pool, graphs
+        self, variants, shared_pool, graphs
     ):
-        epoch = shared_pool.publish_scheduler(respect)
-        wrapped = WorkerDecodeScheduler(respect, shared_pool, epoch)
-        for graph in graphs[:3]:
-            remote = wrapped.schedule(graph, 4)
-            local = respect.schedule(graph, 4)
-            assert remote.schedule.assignment == local.schedule.assignment
-            assert remote.extras["log_prob"] == local.extras["log_prob"]
-            assert remote.extras["worker_decode"] is True
+        for scheduler in variants:
+            epoch = shared_pool.publish_scheduler(scheduler)
+            wrapped = WorkerDecodeScheduler(scheduler, shared_pool, epoch)
+            for graph in graphs[:3]:
+                assert_same_result(
+                    wrapped.schedule(graph, 4), scheduler.schedule(graph, 4)
+                )
 
     def test_adapter_schedule_batch_matches_in_process(
-        self, respect, shared_pool, graphs
+        self, variants, shared_pool, graphs
     ):
-        epoch = shared_pool.publish_scheduler(respect)
-        wrapped = WorkerDecodeScheduler(respect, shared_pool, epoch)
-        remote = wrapped.schedule_batch(graphs, 4)
-        local = respect.schedule_batch(graphs, 4)
-        for r, l in zip(remote, local):
-            assert r.schedule.assignment == l.schedule.assignment
-            assert r.extras["log_prob"] == l.extras["log_prob"]
+        for scheduler in variants:
+            epoch = shared_pool.publish_scheduler(scheduler)
+            wrapped = WorkerDecodeScheduler(scheduler, shared_pool, epoch)
+            remote = wrapped.schedule_batch(graphs, [2, 3, 4, 5, 4, 3])
+            local = scheduler.schedule_batch(graphs, [2, 3, 4, 5, 4, 3])
+            assert len(remote) == len(local) == len(graphs)
+            for r, l in zip(remote, local):
+                assert_same_result(r, l)
+                assert r.extras["batch_size"] == len(graphs)
 
     def test_service_with_decode_pool_matches_in_process(
         self, respect, shared_pool, graphs
@@ -168,25 +198,17 @@ class TestHotSwap:
         )
 
 
-class _LegacySidecarPublisher:
+class _LegacySidecarPublisher(RespectScheduler):
     """Publishes ``inner``'s weights with a sidecar in the layout written
     before greedy inference had one decode path: it still carries the
     retired ``use_vectorized_decode`` flag."""
 
     def __init__(self, inner, flag):
-        self.inference_policy = inner.inference_policy
-        current = inner.decode_config()
-        self._config = {
-            "embedding": current["embedding"],
-            "budget_slack": current["budget_slack"],
-            "enforce_siblings": current["enforce_siblings"],
-            "constrain_topological": current["constrain_topological"],
-            "use_vectorized_decode": flag,
-            "options_fingerprint": current["options_fingerprint"],
-        }
+        super().__init__(policy=inner.policy)
+        self._flag = flag
 
     def decode_config(self):
-        return self._config
+        return dict(super().decode_config(), use_vectorized_decode=self._flag)
 
 
 class TestLegacySidecar:
@@ -250,11 +272,9 @@ class TestWorkerSideChecks:
         response = wire.decode_decode_response(
             _WorkerDecoder(1, respect).decode(payload)
         )
-        _, rollout, _ = respect._decode_batch(graphs)
-        assert response.orders == respect.decode_orders(graphs)
-        assert response.log_probs == [
-            float(rollout.log_prob[b]) for b in range(len(graphs))
-        ]
+        orders, log_probs = respect._decode_batch(graphs)
+        assert response.orders == orders == respect.decode_orders(graphs)
+        assert response.log_probs == log_probs
 
     def test_embedding_config_mismatch_is_refused(self, respect, graphs):
         # Same feature dim as the default (15), different columns: only
