@@ -63,8 +63,8 @@ def ablate_reward_definitions(
     for chunk, features, targets in batch_examples(
         examples, batch_size=16, shuffle=False
     ):
-        rollout = policy.forward(
-            features, mode="greedy", precedence=stack_precedence(chunk)
+        rollout = policy.greedy_decode(
+            features, precedence=stack_precedence(chunk)
         )
         for b, example in enumerate(chunk):
             pi = rollout.actions[b]

@@ -172,8 +172,8 @@ class ReinforceTrainer:
         for chunk, features, _ in batch_examples(
             self.eval_examples, self.config.batch_size, shuffle=False
         ):
-            rollout = policy.forward(
-                features, mode="greedy", precedence=stack_precedence(chunk)
+            rollout = policy.greedy_decode(
+                features, precedence=stack_precedence(chunk)
             )
             total += float(self._costs(chunk, rollout.actions).sum())
             count += len(chunk)
@@ -191,8 +191,8 @@ class ReinforceTrainer:
         )
         costs = self._costs(chunk, rollout.actions)
         if config.baseline == "rollout" and self._baseline_policy is not None:
-            greedy = self._baseline_policy.forward(
-                features, mode="greedy", precedence=precedence
+            greedy = self._baseline_policy.greedy_decode(
+                features, precedence=precedence
             )
             baselines = self._costs(chunk, greedy.actions)
         elif config.baseline == "batch_mean":

@@ -30,12 +30,7 @@ shard) to mount caller-owned ones, or neither for memory-only stores of
 ``cache_capacity`` entries — see :mod:`repro.service.store`.
 """
 
-from repro.service.cache import (
-    CachedSchedule,
-    CacheKey,
-    CacheStats,
-    ScheduleCache,
-)
+from repro.service.cache import CachedSchedule, CacheKey, ScheduleCache
 from repro.service.store import (
     CompactionStats,
     DiskScheduleStore,
@@ -62,7 +57,6 @@ from repro.service.workers import (
 __all__ = [
     "CachedSchedule",
     "CacheKey",
-    "CacheStats",
     "CompactionStats",
     "DecodePoolStats",
     "DecodeWorkerPool",

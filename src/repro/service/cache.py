@@ -47,32 +47,14 @@ class CachedSchedule:
     provenance: Optional[Mapping[str, object]] = None
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Point-in-time snapshot of cache counters."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    capacity: int
-    #: Entries dropped by :meth:`ScheduleCache.invalidate_options`
-    #: (counted separately from capacity evictions).
-    invalidations: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups (0.0 before the first lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-
 class ScheduleCache:
     """Bounded LRU mapping from :data:`CacheKey` to :class:`CachedSchedule`.
 
     All operations are safe under concurrent access; a hit refreshes the
     entry's recency, insertion beyond ``capacity`` evicts the least
-    recently used entry.
+    recently used entry.  The cache counts only its own events
+    (``evictions`` and ``invalidations``); lookups are counted once, by
+    the serving shard's ``respect_tier_lookups_total`` series.
     """
 
     def __init__(self, capacity: int = 1024) -> None:
@@ -86,8 +68,6 @@ class ScheduleCache:
         #: only the stale keys (O(stale)) instead of scanning the whole
         #: cache under the lock on every hot-swap.
         self._by_options: Dict[str, set] = {}
-        self._hits = 0
-        self._misses = 0
         self._evictions = 0
         self._invalidations = 0
 
@@ -101,11 +81,8 @@ class ScheduleCache:
         """Return the cached payload for ``key`` (refreshing recency)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
+            if entry is not None:
+                self._entries.move_to_end(key)
             return entry
 
     def put(self, key: CacheKey, value: CachedSchedule) -> None:
@@ -137,7 +114,7 @@ class ScheduleCache:
             return key in self._entries
 
     def clear(self) -> None:
-        """Drop every entry (counters are preserved)."""
+        """Drop every entry (eviction/invalidation counts are kept)."""
         with self._lock:
             self._entries.clear()
             self._by_options.clear()
@@ -153,8 +130,7 @@ class ScheduleCache:
         them eagerly via the secondary ``options_key -> keys`` index, so
         the time under the lock is O(stale entries), not O(cache size) —
         a hot-swap on a full, busy cache evicts only what it retires.
-        LRU order of the surviving entries is untouched, and hit/miss
-        counters are preserved.
+        LRU order of the surviving entries is untouched.
         """
         options_key = str(options_key)
         with self._lock:
@@ -166,16 +142,17 @@ class ScheduleCache:
             self._invalidations += len(stale)
             return len(stale)
 
-    def stats(self) -> CacheStats:
+    @property
+    def evictions(self) -> int:
+        """Entries dropped by capacity pressure."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self.capacity,
-                invalidations=self._invalidations,
-            )
+            return self._evictions
+
+    @property
+    def invalidations(self) -> int:
+        """Entries dropped by :meth:`invalidate_options`."""
+        with self._lock:
+            return self._invalidations
 
 
-__all__ = ["CacheKey", "CachedSchedule", "CacheStats", "ScheduleCache"]
+__all__ = ["CacheKey", "CachedSchedule", "ScheduleCache"]

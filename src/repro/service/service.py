@@ -69,7 +69,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (
     Callable,
     Deque,
@@ -97,6 +97,7 @@ from repro.service.cache import (
 from repro.service.store import (
     DEFAULT_NAMESPACE,
     DiskScheduleStore,
+    DiskStoreStats,
     TieredScheduleStore,
     TieredStoreStats,
 )
@@ -185,25 +186,19 @@ def _ring_hash(data: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def build_hash_ring(
-    num_shards: int, virtual_nodes: int = _VIRTUAL_NODES
-) -> Tuple[List[int], List[int]]:
+def build_hash_ring(num_shards: int) -> Tuple[List[int], List[int]]:
     """Consistent-hash ring: sorted point positions + owning shard ids.
 
-    Deterministic in ``num_shards``/``virtual_nodes`` alone — every
-    process (and every test) derives the identical ring, so routing is
-    reproducible across runs and machines.
+    Deterministic in ``num_shards`` alone — every process (and every
+    test) derives the identical ring, so routing is reproducible across
+    runs and machines.
     """
     if num_shards < 1:
         raise ServiceError(f"num_shards must be >= 1, got {num_shards}")
-    if virtual_nodes < 1:
-        raise ServiceError(
-            f"virtual_nodes must be >= 1, got {virtual_nodes}"
-        )
     points = sorted(
         (_ring_hash(f"shard:{shard}:vnode:{vnode}"), shard)
         for shard in range(num_shards)
-        for vnode in range(virtual_nodes)
+        for vnode in range(_VIRTUAL_NODES)
     )
     return [p for p, _ in points], [s for _, s in points]
 
@@ -232,10 +227,11 @@ class ServiceStats:
     The service-level view sums its shards plus the degraded serves the
     front answers itself; ``per_shard`` holds one view per shard, whose
     front-only fields (``swaps``, ``listener_errors`` and the admission
-    outcomes) read 0.  ``cache`` is the shard's store stats; with several
-    shards the service-level ``cache`` is None (read
-    ``per_shard[i].cache``: shards sharing one disk store would count its
-    entries once per shard).
+    outcomes) read 0.  ``cache`` is the store snapshot at every shard
+    count: a shard's lookup counts come from its
+    ``respect_tier_lookups_total`` series and its ``size`` is its own
+    namespace; the service-level one sums the shards and counts each
+    distinct disk store's health once.
     """
 
     requests: int
@@ -248,7 +244,7 @@ class ServiceStats:
     latency_mean_s: float
     latency_p50_s: float
     latency_p99_s: float
-    cache: Optional[TieredStoreStats]
+    cache: TieredStoreStats
     #: Hot-swaps performed via :meth:`SchedulingService.swap_scheduler`.
     swaps: int = 0
     #: Serve-listener exceptions swallowed (the first occurrence is
@@ -289,6 +285,18 @@ def _stats_view(
         latency_p50_s=latency.percentile(50) if latency.count else 0.0,
         latency_p99_s=latency.percentile(99) if latency.count else 0.0,
         **fields,
+    )
+
+
+def _summed(cls, views, **given):
+    """One ``cls`` whose fields not in ``given`` sum over ``views``."""
+    return cls(
+        **{
+            f.name: sum(getattr(view, f.name) for view in views)
+            for f in fields(cls)
+            if f.name not in given
+        },
+        **given,
     )
 
 
@@ -850,6 +858,8 @@ class _Shard:
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
         """This shard's view over its own registry instruments."""
+        store = self.cache
+        lookups = {tier: m.value for tier, m in self._m_tier_lookups.items()}
         return _stats_view(
             self._m_requests.value,
             self._m_cache_hits.value,
@@ -857,7 +867,16 @@ class _Shard:
             self._m_batches.value,
             self._m_scheduled.value,
             self._m_latency.snapshot(),
-            cache=self.cache.stats(),
+            cache=TieredStoreStats(
+                hits=lookups["memory"] + lookups["disk"],
+                misses=lookups["miss"],
+                evictions=store.memory.evictions,
+                size=len(store),
+                capacity=store.capacity,
+                invalidations=store.memory.invalidations,
+                disk_hits=lookups["disk"],
+                disk=store.disk.stats() if store.disk is not None else None,
+            ),
             admission=self.admission,
             max_queue_depth=self.max_queue_depth,
         )
@@ -1228,19 +1247,23 @@ class SchedulingService:
         Appends are already flushed per put — a snapshot only bounds the
         replay a reopen has to do and fsyncs the segment tail.
         """
-        disks = list(
-            dict.fromkeys(
-                shard.cache.disk.store
-                for shard in self.shards
-                if shard.cache.disk is not None
-            )
-        )
+        disks = self._disk_stores()
         if not disks:
             raise ServiceError(
                 "this service has no persistent schedule store to snapshot "
                 "(construct it with stores= or store_dir=)"
             )
         return [disk.snapshot() for disk in disks][0]
+
+    def _disk_stores(self) -> List[DiskScheduleStore]:
+        """The distinct disk stores behind the shards, in shard order."""
+        return list(
+            dict.fromkeys(
+                shard.cache.disk.store
+                for shard in self.shards
+                if shard.cache.disk is not None
+            )
+        )
 
     def restore(self, limit: Optional[int] = None) -> int:
         """Warm every shard's memory tier from its persistent tier.
@@ -1600,6 +1623,12 @@ class SchedulingService:
             [shard._m_latency.snapshot() for shard in self.shards]
         )
         degraded = self._m_admission["degraded"].value
+        disks = [store.stats() for store in self._disk_stores()]
+        cache = _summed(
+            TieredStoreStats,
+            [s.cache for s in per_shard],
+            disk=_summed(DiskStoreStats, disks) if disks else None,
+        )
         return _stats_view(
             sum(s.requests for s in per_shard) + self._m_front_requests.value,
             sum(s.cache_hits for s in per_shard),
@@ -1607,7 +1636,7 @@ class SchedulingService:
             sum(s.batches for s in per_shard),
             sum(s.scheduled_graphs for s in per_shard),
             latency,
-            cache=per_shard[0].cache if self.num_shards == 1 else None,
+            cache=cache,
             swaps=self._m_swaps.value,
             listener_errors=self._m_listener_errors.value,
             num_shards=self.num_shards,

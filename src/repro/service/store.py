@@ -63,7 +63,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import ServiceError, WireFormatError
-from repro.service.cache import CachedSchedule, CacheKey, CacheStats, ScheduleCache
+from repro.service.cache import CachedSchedule, CacheKey, ScheduleCache
 from repro.service.wire import (
     HEADER_SIZE,
     KIND_STORE_ENTRY,
@@ -100,12 +100,15 @@ _SEGMENT_SUFFIX = ".rsps"
 
 @dataclass(frozen=True)
 class DiskStoreStats:
-    """Point-in-time counters of one :class:`DiskScheduleStore`."""
+    """Point-in-time health record of one :class:`DiskScheduleStore`.
+
+    Lookups are not counted here: the serving shard's
+    ``respect_tier_lookups_total{tier="disk"}`` series is their one
+    record.
+    """
 
     entries: int
     segments: int
-    hits: int
-    misses: int
     appended: int
     invalidations: int
     tombstones: int
@@ -140,13 +143,14 @@ class CompactionStats:
 
 @dataclass(frozen=True)
 class TieredStoreStats:
-    """Stats of a :class:`TieredScheduleStore`, CacheStats-compatible.
+    """One snapshot of a serving shard's store (or the sum over shards).
 
-    The top-level counters describe the *stack* (a hit in either tier is
-    a hit; ``size`` is the durable tier's entry count when one is
-    mounted), so consumers written against
-    :class:`~repro.service.cache.CacheStats` read them unchanged; the
-    per-tier breakdowns ride alongside.
+    ``hits``, ``misses`` and ``disk_hits`` read the shard's
+    ``respect_tier_lookups_total`` series (a hit in either tier is a
+    hit); ``evictions``, ``invalidations`` and ``capacity`` are the
+    memory tier's own; ``size`` counts the shard's namespace (its LRU
+    when memory-only); ``disk`` is the health record of the disk store
+    behind it, counted once per distinct store.
     """
 
     hits: int
@@ -154,10 +158,10 @@ class TieredStoreStats:
     evictions: int
     size: int
     capacity: int
+    #: Memory-tier entries dropped by ``invalidate_options``.
     invalidations: int
     #: Disk hits promoted into the memory tier (subset of ``hits``).
     disk_hits: int
-    memory: CacheStats
     disk: Optional[DiskStoreStats]
 
     @property
@@ -224,8 +228,6 @@ class DiskScheduleStore:
         self._append_offset = 0
         self._appends_since_snapshot = 0
         # -- counters (guarded by self._lock) ---------------------------
-        self._hits = 0
-        self._misses = 0
         self._appended = 0
         self._invalidations = 0
         self._tombstones = 0
@@ -428,7 +430,6 @@ class DiskScheduleStore:
             store_key = (namespace, key[0], key[1], key[2])
             location = self._index.get(store_key)
             if location is None:
-                self._misses += 1
                 return None
             segment, offset, length = location
             try:
@@ -454,9 +455,7 @@ class DiskScheduleStore:
                 self._index.pop(store_key, None)
                 self._drop_from_options_locked(store_key)
                 self._read_errors += 1
-                self._misses += 1
                 return None
-            self._hits += 1
             return CachedSchedule(
                 assignment=record.assignment,
                 num_stages=record.num_stages,
@@ -766,8 +765,6 @@ class DiskScheduleStore:
             return DiskStoreStats(
                 entries=len(self._index),
                 segments=len(self._segment_files()),
-                hits=self._hits,
-                misses=self._misses,
                 appended=self._appended,
                 invalidations=self._invalidations,
                 tombstones=self._tombstones,
@@ -812,10 +809,11 @@ class DiskScheduleStore:
 class StoreNamespace:
     """One namespace of a :class:`DiskScheduleStore`, cache-protocol shaped.
 
-    Implements exactly the surface :class:`ScheduleCache` exposes
+    Implements the surface :class:`ScheduleCache` exposes
     (``get``/``put``/``__contains__``/``__len__``/``invalidate_options``
-    /``stats``/``make_key``), scoped to one namespace — the adapter that
-    lets a shared store directory back many shards and methods at once.
+    /``make_key``), scoped to one namespace — the adapter that lets a
+    shared store directory back many shards and methods at once.
+    ``stats()`` is the whole store's health record.
     """
 
     make_key = staticmethod(ScheduleCache.make_key)
@@ -858,9 +856,11 @@ class TieredScheduleStore:
 
     ``memory`` is a :class:`ScheduleCache` (by default a fresh one of
     ``memory_capacity`` entries); ``disk`` is a :class:`StoreNamespace`,
-    or ``None`` for a memory-only store whose counters then match the
-    bare LRU's.  Every service answers from one of these (its
-    ``cache`` attribute).
+    or ``None`` for a memory-only store.  Every service shard answers
+    from one of these (its ``cache`` attribute).  The stack keeps no
+    counters and no lock of its own: :meth:`lookup` names the answering
+    tier and the shard counts it, and the shard's stats assemble the
+    :class:`TieredStoreStats` snapshot.
     """
 
     make_key = staticmethod(ScheduleCache.make_key)
@@ -873,11 +873,6 @@ class TieredScheduleStore:
     ) -> None:
         self.memory = memory if memory is not None else ScheduleCache(memory_capacity)
         self.disk = disk
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
-        self._invalidations = 0
 
     @property
     def capacity(self) -> int:
@@ -895,8 +890,6 @@ class TieredScheduleStore:
         Returns ``(entry, tier)`` with ``tier`` one of ``"memory"``,
         ``"disk"`` or ``None`` (miss) — the label the serving layer's
         ``respect_tier_lookups_total`` series and trace spans carry.
-        Hit/miss accounting happens exactly once here (:meth:`get`
-        delegates).
         """
         tier: Optional[str] = None
         entry = self.memory.get(key)
@@ -908,13 +901,6 @@ class TieredScheduleStore:
                 tier = "disk"
                 # Promote: the next lookup answers from memory.
                 self.memory.put(key, entry)
-                with self._lock:
-                    self._disk_hits += 1
-        with self._lock:
-            if entry is None:
-                self._misses += 1
-            else:
-                self._hits += 1
         return entry, tier
 
     def put(self, key: CacheKey, value: CachedSchedule) -> None:
@@ -945,10 +931,7 @@ class TieredScheduleStore:
             if self.disk is not None
             else 0
         )
-        dropped = max(dropped_memory, dropped_disk)
-        with self._lock:
-            self._invalidations += dropped
-        return dropped
+        return max(dropped_memory, dropped_disk)
 
     def clear(self) -> None:
         """Drop the memory tier and retire every disk entry durably."""
@@ -986,26 +969,6 @@ class TieredScheduleStore:
                 self.memory.put(key, entry)
                 loaded += 1
         return loaded
-
-    def stats(self) -> TieredStoreStats:
-        memory = self.memory.stats()
-        disk = self.disk.stats() if self.disk is not None else None
-        with self._lock:
-            hits = self._hits
-            misses = self._misses
-            disk_hits = self._disk_hits
-            invalidations = self._invalidations
-        return TieredStoreStats(
-            hits=hits,
-            misses=misses,
-            evictions=memory.evictions,
-            size=disk.entries if disk is not None else memory.size,
-            capacity=memory.capacity,
-            invalidations=invalidations,
-            disk_hits=disk_hits,
-            memory=memory,
-            disk=disk,
-        )
 
 
 __all__ = [

@@ -8,6 +8,7 @@ from repro.flow.compare import (
     run_method_batch,
     schedule_many,
     serve_methods,
+    served_method_stats,
 )
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.errors import SchedulingError
@@ -132,11 +133,8 @@ class TestServedMethods:
                 == b["proxy"].schedule_result.schedule.assignment
             )
         # The second sweep was served from the method's shared cache.
-        probe = methods["proxy"]()
-        try:
-            assert probe.stats().cache.hits >= len(quantized_graphs)
-        finally:
-            probe.close()
+        stats = served_method_stats(methods)["proxy"]
+        assert stats.cache_hits >= len(quantized_graphs)
 
     def test_serve_methods_caches_repeats(self, quantized_graphs):
         methods = serve_methods({"recording": RecordingBatchScheduler})

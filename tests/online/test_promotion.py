@@ -168,9 +168,7 @@ class TestPromoteChallenger:
         ) as service:
             for graph in graphs:
                 service.schedule(graph, 3)
-            populated = [
-                shard.cache.stats().size for shard in service.shards
-            ]
+            populated = [len(shard.cache) for shard in service.shards]
             assert sum(populated) == len(graphs)
             record = promote_challenger(service, challenger, evaluation)
             # Every shard now runs the challenger...
@@ -180,9 +178,7 @@ class TestPromoteChallenger:
             assert service.scheduler is challenger
             # ...and the champion's entries are gone from every cache.
             assert record.invalidated_entries == len(graphs)
-            assert all(
-                shard.cache.stats().size == 0 for shard in service.shards
-            )
+            assert all(len(shard.cache) == 0 for shard in service.shards)
             assert record.retired_options_key == (
                 champion.options_fingerprint()
             )

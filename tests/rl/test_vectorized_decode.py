@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from repro.embedding.queue import build_encoder_queue, pad_queues
+from repro.graphs.sampler import SyntheticDAGSampler
 from repro.models.zoo import FIG4_MODELS, build_model
 from repro.nn import functional as F
 from repro.rl.ptrnet import PointerNetworkPolicy
-from repro.rl.respect import RespectScheduler
+from repro.rl.respect import RespectScheduler, load_pretrained_policy
 from repro.tpu.quantize import quantize_graph
 
 
@@ -212,6 +213,49 @@ class TestSchedulerDecode:
         # One decode path: nothing besides packing/embedding options and
         # the fingerprint reaches a worker's checkpoint sidecar.
         assert "use_vectorized_decode" not in scheduler.decode_config()
+
+
+class TestTrainingRollouts:
+    """The trainers' greedy rollouts (REINFORCE evaluation and rollout
+    baseline, the reward ablation) decode with ``greedy_decode``; they
+    read only the actions, which must be ``forward``'s on the training
+    policy: float64, ``hidden_size=64``, batches of the trainers' sizes
+    over |V|=30 synthetic graphs."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        queues = []
+        for degree in (2, 3, 4, 5, 6):
+            sampler = SyntheticDAGSampler(num_nodes=30, degree=degree, seed=degree)
+            queues += [build_encoder_queue(sampler.sample()) for _ in range(7)]
+        features = np.stack([q.features for q in queues])
+        precedence = np.stack([q.precedence for q in queues])
+        return features, precedence
+
+    @pytest.mark.parametrize("policy_seed", [0, 1, "pretrained"])
+    @pytest.mark.parametrize("batch_size", [32, 16, 14, 1])
+    def test_greedy_decode_actions_equal_forward(
+        self, batch, policy_seed, batch_size
+    ):
+        features, precedence = batch
+        if policy_seed == "pretrained":
+            policy = load_pretrained_policy()
+        else:
+            policy = PointerNetworkPolicy(
+                feature_dim=features.shape[2],
+                hidden_size=64,
+                logit_clip=10.0,
+                seed=policy_seed,
+            )
+        assert policy.w_emb.value.dtype == np.float64
+        assert policy.hidden_size == 64
+        for start in range(0, len(features), batch_size):
+            rows = slice(start, start + batch_size)
+            expected = policy.forward(
+                features[rows], mode="greedy", precedence=precedence[rows]
+            )
+            got = policy.greedy_decode(features[rows], precedence=precedence[rows])
+            np.testing.assert_array_equal(got.actions, expected.actions)
 
 
 class TestSigmoid:

@@ -5,7 +5,14 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import CachedSchedule, ScheduleCache
+from repro.graphs.sampler import sample_synthetic_dag
+from repro.scheduling.heuristics import ListScheduler
+from repro.service import (
+    CachedSchedule,
+    ScheduleCache,
+    SchedulingService,
+    scheduler_options_key,
+)
 
 
 def _payload(tag: int) -> CachedSchedule:
@@ -51,30 +58,30 @@ class TestScheduleCache:
         assert cache.get(_key(2)) is None
 
     def test_counters(self):
+        # The LRU counts only its own events; lookups are the shard's.
         cache = ScheduleCache(capacity=1)
         cache.get(_key(1))
         cache.put(_key(1), _payload(1))
         cache.get(_key(1))
         cache.put(_key(2), _payload(2))  # evicts 1
-        stats = cache.stats()
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert stats.evictions == 1
-        assert stats.size == 1
-        assert stats.capacity == 1
-        assert stats.hit_rate == pytest.approx(0.5)
+        assert cache.evictions == 1
+        assert cache.invalidations == 0
+        assert len(cache) == 1
+        assert cache.capacity == 1
 
     def test_hit_rate_without_lookups(self):
-        assert ScheduleCache().stats().hit_rate == 0.0
+        with SchedulingService(ListScheduler()) as service:
+            stats = service.stats().cache
+        assert (stats.hits, stats.misses, stats.hit_rate) == (0, 0, 0.0)
 
     def test_clear_keeps_counters(self):
-        cache = ScheduleCache(capacity=4)
+        cache = ScheduleCache(capacity=1)
         cache.put(_key(1), _payload(1))
-        cache.get(_key(1))
+        cache.put(_key(2), _payload(2))  # evicts 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.get(_key(1)) is None
-        assert cache.stats().hits == 1
+        assert cache.get(_key(2)) is None
+        assert cache.evictions == 1
 
     def test_contains(self):
         cache = ScheduleCache(capacity=4)
@@ -134,17 +141,16 @@ class TestInvalidateOptions:
         cache.put(self._key(2, "old"), _payload(2))
         cache.put(self._key(3, "old"), _payload(3))  # LRU-evicts key 1
         cache.invalidate_options("old")
-        stats = cache.stats()
-        assert stats.evictions == 1
-        assert stats.invalidations == 2
-        assert stats.size == 0
+        assert cache.evictions == 1
+        assert cache.invalidations == 2
+        assert len(cache) == 0
 
     def test_missing_options_key_is_noop(self):
         cache = ScheduleCache(capacity=4)
         cache.put(self._key(1, "old"), _payload(1))
         assert cache.invalidate_options("absent") == 0
         assert len(cache) == 1
-        assert cache.stats().invalidations == 0
+        assert cache.invalidations == 0
 
     def test_lru_order_of_survivors_preserved(self):
         cache = ScheduleCache(capacity=2)
@@ -159,14 +165,18 @@ class TestInvalidateOptions:
         assert cache.get(self._key(5, "keep")) is not None
 
     def test_hit_miss_counters_survive_invalidation(self):
-        cache = ScheduleCache(capacity=4)
-        cache.put(self._key(1, "old"), _payload(1))
-        cache.get(self._key(1, "old"))   # hit
-        cache.get(self._key(2, "old"))   # miss
-        cache.invalidate_options("old")
-        stats = cache.stats()
+        graph = sample_synthetic_dag(num_nodes=10, degree=3, seed=0)
+        scheduler = ListScheduler()
+        with SchedulingService(scheduler, batch_window_s=0.0) as service:
+            service.schedule(graph, 2)  # miss
+            service.schedule(graph, 2)  # hit
+            assert service.invalidate_options(
+                scheduler_options_key(scheduler)
+            ) == 1
+            stats = service.stats().cache
         assert stats.hits == 1
         assert stats.misses == 1  # invalidation added no lookups
+        assert stats.invalidations == 1
 
 
 class TestOptionsIndex:
@@ -219,7 +229,7 @@ class TestOptionsIndex:
         cache.put(self._key(1, "old"), _payload(1))
         assert cache.invalidate_options("old") == 1
         assert cache.invalidate_options("old") == 0
-        assert cache.stats().invalidations == 1
+        assert cache.invalidations == 1
 
 
 class TestCachedScheduleProvenance:

@@ -105,8 +105,6 @@ class TestHashRing:
     def test_invalid_ring_parameters_rejected(self):
         with pytest.raises(ServiceError):
             build_hash_ring(0)
-        with pytest.raises(ServiceError):
-            build_hash_ring(2, virtual_nodes=0)
 
 
 class TestConstruction:

@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError
+from repro.graphs.sampler import sample_synthetic_dag
+from repro.scheduling.heuristics import ListScheduler
 from repro.service import (
     CachedSchedule,
     DiskScheduleStore,
     ScheduleCache,
+    SchedulingService,
     TieredScheduleStore,
 )
 from repro.service.wire import MAGIC, WIRE_VERSION
@@ -62,7 +65,7 @@ class TestDiskStoreBasics:
             assert got.provenance["weights_epoch"] == 1
             assert ns.get(_key(2)) is None
             stats = store.stats()
-            assert stats.hits == 1 and stats.misses == 1
+            assert stats.appended == 1 and stats.read_errors == 0
 
     def test_entries_survive_reopen(self, tmp_path):
         with DiskScheduleStore(tmp_path) as store:
@@ -343,12 +346,12 @@ class TestTieredStore:
             tiered = TieredScheduleStore(
                 disk=disk.namespace(), memory_capacity=4
             )
-            assert tiered.get(_key(1)).objective == 1.0
-            stats = tiered.stats()
-            assert stats.disk_hits == 1 and stats.hits == 1
+            entry, tier = tiered.lookup(_key(1))
+            assert (entry.objective, tier) == (1.0, "disk")
             assert len(tiered.memory) == 1  # promoted
-            tiered.get(_key(1))
-            assert tiered.stats().disk_hits == 1  # memory served it
+            _, tier = tiered.lookup(_key(1))
+            assert tier == "memory"  # memory served it
+            assert tiered.lookup(_key(2)) == (None, None)
 
     def test_write_through_and_contains(self, tmp_path):
         with DiskScheduleStore(tmp_path) as disk:
@@ -397,19 +400,26 @@ class TestTieredStore:
                 "fp5",
             }
 
-    def test_stats_are_cachestats_shaped(self, tmp_path):
-        with DiskScheduleStore(tmp_path) as disk:
-            tiered = TieredScheduleStore(
-                disk=disk.namespace(), memory_capacity=4
-            )
-            tiered.put(_key(1), _payload(1))
-            tiered.get(_key(1))
-            tiered.get(_key(2))
-            stats = tiered.stats()
-            # The consumers written against CacheStats read these:
-            assert stats.hits == 1
-            assert stats.misses == 1
-            assert stats.hit_rate == 0.5
-            assert stats.size == 1
-            assert stats.capacity == 4
-            assert stats.evictions == 0
+    def test_service_snapshot_reads_the_lookup_series(self, tmp_path):
+        graphs = [
+            sample_synthetic_dag(num_nodes=10, degree=3, seed=seed)
+            for seed in range(2)
+        ]
+        with SchedulingService(
+            ListScheduler(),
+            store_dir=str(tmp_path),
+            cache_capacity=4,
+            batch_window_s=0.0,
+        ) as service:
+            service.schedule(graphs[0], 3)  # miss
+            service.schedule(graphs[0], 3)  # memory hit
+            service.schedule(graphs[1], 3)  # miss
+            stats = service.stats().cache
+        assert stats.hits == 1
+        assert stats.misses == 2
+        assert stats.disk_hits == 0
+        assert stats.hit_rate == pytest.approx(1 / 3)
+        assert stats.size == 2
+        assert stats.capacity == 4
+        assert stats.evictions == 0
+        assert stats.disk.entries == 2 and stats.disk.appended == 2

@@ -7,7 +7,8 @@ N in {1, 3}: one class serves both shapes, so one suite pins both.
   through a decode worker process;
 * every admitted request is counted exactly once in
   ``respect_requests_total`` (degraded answers included);
-* ``stats()`` totals equal the registry totals;
+* ``stats()`` totals equal the registry totals, the store snapshot
+  included (one per shard count, each shard's ``size`` its namespace);
 * serve-listener exceptions are counted (once each) and never fail a
   request;
 * ``close()`` leaves no future pending;
@@ -201,10 +202,51 @@ def test_stats_equal_registry_totals(num_shards):
         assert total("respect_requests_total", shard=str(i)) == (
             shard_stats.requests
         )
-    if num_shards == 1:
-        # One shard: the service's store view is that shard's.
-        assert stats.cache == stats.per_shard[0].cache
-        assert stats.cache.hits == stats.cache_hits
+    # One lookup ledger: the store snapshot reads the tier series.
+    lookups = {
+        tier: total("respect_tier_lookups_total", tier=tier)
+        for tier in ("memory", "disk", "miss")
+    }
+    assert stats.cache.hits == lookups["memory"] + lookups["disk"]
+    assert stats.cache.misses == lookups["miss"]
+    assert stats.cache.disk_hits == lookups["disk"]
+    assert stats.cache.hits == stats.cache_hits
+    assert stats.cache.size == sum(s.cache.size for s in stats.per_shard)
+
+
+@pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+def test_store_snapshot_is_namespace_scoped(num_shards, tmp_path):
+    graphs = make_graphs(9, seed_base=250)
+    with SchedulingService(
+        FakeScheduler(),
+        num_shards=num_shards,
+        store_dir=str(tmp_path),
+        batch_window_s=0.0,
+    ) as service:
+        service.schedule_batch(graphs, NUM_STAGES)
+    telemetry = Telemetry()
+    with SchedulingService(
+        FakeScheduler(),
+        num_shards=num_shards,
+        store_dir=str(tmp_path),
+        telemetry=telemetry,
+        batch_window_s=0.0,
+    ) as service:
+        for graph in graphs + graphs:  # disk hits, then memory hits
+            service.schedule(graph, NUM_STAGES)
+        stats = service.stats()
+        sizes = [len(shard.cache) for shard in service.shards]
+    total = telemetry.registry.counter_total
+    assert stats.cache.disk_hits == len(graphs)
+    assert total("respect_tier_lookups_total", tier="disk") == len(graphs)
+    assert stats.cache.hits == stats.cache_hits == 2 * len(graphs)
+    assert stats.cache.misses == 0
+    # Each shard reports its own namespace, not the whole directory...
+    assert [s.cache.size for s in stats.per_shard] == sizes
+    assert stats.cache.size == sum(sizes) == len(graphs)
+    # ...and the one directory behind every shard is counted once.
+    assert stats.cache.disk.entries == len(graphs)
+    assert all(s.cache.disk == stats.cache.disk for s in stats.per_shard)
 
 
 @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
