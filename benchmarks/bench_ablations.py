@@ -1,4 +1,4 @@
-"""Benchmark E6 — ablations of the design choices DESIGN.md calls out."""
+"""Benchmark E6 — ablations of the reproduction's design choices."""
 
 from repro.datasets.synthetic import generate_dataset
 from repro.embedding.features import EmbeddingConfig

@@ -3,8 +3,8 @@
 Measures RESPECT / compiler-proxy / ILP solving wall-clock across the ten
 Table I models and 4/5/6-stage pipelines, printing the per-model series
 and the headline min/max/geomean speedups the paper quotes (24-683x over
-the compiler, 100-930x over the ILP; see EXPERIMENTS.md for why the
-compiler column is closer here).
+the compiler, 100-930x over the ILP; see ``repro.experiments.fig3`` for
+why the compiler column is closer here).
 """
 
 from repro.experiments.fig3 import format_fig3, run_fig3

@@ -15,8 +15,8 @@ Quick start::
     report = pipeline.simulate(num_inferences=1000)
     print(report.seconds_per_inference)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced table and figure.
+See the README's "Layout" table for the system inventory and ROADMAP.md
+item 9 for the paper-vs-measured status of the reproduced figures.
 """
 
 from repro.embedding import EmbeddingConfig, build_encoder_queue, embed_graph

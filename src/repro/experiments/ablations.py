@@ -1,4 +1,4 @@
-"""Experiment E6 — ablations of the design choices DESIGN.md calls out.
+"""Experiment E6 — ablations of the reproduction's design choices.
 
 Each ablation isolates one mechanism:
 

@@ -5,7 +5,7 @@ each method needs to *produce a schedule* and plots RESPECT's speedup
 over (a) the commercial Edge TPU compiler and (b) the exact ILP.  The
 reproduction measures the same three solvers on the same ten models.
 
-Caveat recorded in EXPERIMENTS.md: the real ``edgetpu_compiler`` is a
+Caveat (ROADMAP.md item 9, "The speedup gap"): the real ``edgetpu_compiler`` is a
 closed-source binary whose invocation costs seconds (full compilation);
 our proxy performs only the partitioning/compile-pass work, so measured
 RESPECT-over-compiler speedups are smaller than the paper's 24-683x.

@@ -13,7 +13,7 @@ trace and differ only in dispatch decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cluster.fleet import Fleet, ReplicaSpec, build_fleet
 from repro.cluster.report import FleetReport
@@ -131,13 +131,3 @@ def format_fleet_routing(rows: Sequence[FleetRoutingRow]) -> str:
         ],
         title="Fleet routing-policy comparison",
     )
-
-
-def attainment_by_router(
-    rows: Sequence[FleetRoutingRow],
-) -> Dict[str, Dict[str, float]]:
-    """``{scenario: {router: SLO attainment}}`` — the headline series."""
-    series: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        series.setdefault(row.scenario, {})[row.router] = row.slo_attainment
-    return series

@@ -318,10 +318,6 @@ class DriftDetector:
             ),
         )
 
-    def observe_graph(self, graph: ComputationalGraph) -> Optional[DriftEvent]:
-        """Convenience: build the observation and :meth:`update`."""
-        return self.update(GraphObservation.from_graph(graph))
-
     # ------------------------------------------------------------------
     def rearm(self) -> None:
         """Re-arm against the *existing* reference (Page-Hinkley reset).

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.graphs.dag import ComputationalGraph
-from repro.scheduling.schedule import Schedule, ScheduleResult
+from repro.scheduling.schedule import Schedule
 from repro.scheduling.sequence import pack_sequence
 from repro.tpu.latency import op_compute_seconds
 from repro.tpu.pipeline import PipelinedTpuSystem, compute_stage_profiles
@@ -84,10 +84,6 @@ class PipelineLatencyReward:
         if achieved <= 0.0:
             return 1.0
         return self.bound_period(graph, schedule.num_stages) / achieved
-
-    def reward_result(self, result: ScheduleResult) -> float:
-        """Reward of a :class:`ScheduleResult` (uses its bound graph)."""
-        return self.reward(result.schedule.graph, result.schedule)
 
     def order_reward(
         self,

@@ -4,8 +4,9 @@ Cross-entropy on the exact ``gamma`` sequences.  The paper trains with
 pure REINFORCE; teacher forcing optimizes a closely related objective
 (both push probability mass onto the teacher's pick order) and converges
 orders of magnitude faster on CPUs, so this repo uses it to *warm-start*
-the policy before REINFORCE fine-tuning (the deviation is recorded in
-DESIGN.md / EXPERIMENTS.md, and the ablation bench compares the two).
+the policy before REINFORCE fine-tuning (the README's "Pretrained
+checkpoints" section states the recipe, and the ablation bench compares
+the two).
 """
 
 from __future__ import annotations

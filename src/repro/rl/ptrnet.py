@@ -67,7 +67,10 @@ class PolicyRollout:
     # -- private intermediates consumed by backward --------------------
     features: np.ndarray
     emb: np.ndarray
-    contexts: np.ndarray
+    #: ``[B, T, H]`` encoder contexts.  ``None`` in a greedy rollout
+    #: whose every step was forced: ``greedy_decode`` then never runs the
+    #: encoder, and its rollouts cannot be ``backward``-ed anyway.
+    contexts: Optional[np.ndarray]
     enc_caches: List[Dict[str, np.ndarray]]
     steps: List[_StepCache]
     #: Real node counts per row for padded batches; ``None`` when every
@@ -394,17 +397,27 @@ class PointerNetworkPolicy(Module):
           activations), whose ``exp`` underflows to exactly ``0``, so the
           row's log-probability term is ``0.0 - log(1.0) = 0.0`` and the
           argmax can only pick the ready node.  The glimpse feeds nothing
-          but the pointer logits, so it is skipped too; the decoder LSTM
-          step still runs for every row, because its next input is the
-          chosen node.  The context projections (``precompute_ref``) are
-          built on the first step with an unforced row, so a chain-like
-          graph never pays for them;
+          but the pointer logits, so it is skipped too;
         * the remaining rows run attention only at the columns some of
           them can pick (see :meth:`AttentionHead.scores` for why those
           scores stay bit-exact).  Softmax normalizers and the glimpse's
           weighted sum still run over all ``T`` columns: summing a subset
           would regroup the additions once three or more columns are
-          selectable and could move ``log_prob``.
+          selectable and could move ``log_prob``;
+        * the network itself runs lazily.  A step is *live* when some row
+          has two or more ready nodes; only a live step reads a network
+          output.  The ready sets are walked at every step as above (so
+          a cyclic precedence still raises at the same row and step),
+          but the encoder pass, the ``batch > 1`` hoisted projections,
+          the context projections (``precompute_ref``) and the attention
+          scratch are built at the first live step.  The decoder LSTM
+          steps of the forced steps before a live step run when that
+          step arrives, in order, on the picks those steps made: the
+          same inputs and shapes as an eager loop, so every float that
+          is read comes out the same.  Steps after the last live step
+          never run the network.  A decode with no live step (a chain,
+          or DenseNet, whose dense connectivity fixes a total order)
+          runs no LSTM step at all and returns ``contexts=None``.
 
         ``tests/rl/test_decode_differential.py`` keeps the previous
         implementation of this method verbatim and checks that actions
@@ -442,69 +455,18 @@ class PointerNetworkPolicy(Module):
                     f"{precedence.shape}"
                 )
 
-        hidden = self.hidden_size
         emb = features @ self.w_emb.value + self.b_emb.value  # [B, T, H]
-        # Hoisting is only bitwise-safe when the replaced per-step matmul
-        # and the large GEMM hit the same BLAS kernel; a one-row matmul
-        # ([1, H] @ [H, 4H]) can dispatch differently, so batch==1 keeps
-        # the per-step projections (there is nothing to amortize anyway).
-        hoist = batch > 1
-        enc_proj = None
-        dec_proj = None
-        if hoist:
-            flat = emb.reshape(batch * num_nodes, hidden)
-            enc_proj = (flat @ self.encoder.w_x.value).reshape(
-                batch, num_nodes, 4 * hidden
-            )
-            dec_proj = (flat @ self.decoder.w_x.value).reshape(
-                batch, num_nodes, 4 * hidden
-            )
-        h, c = self.encoder.initial_state(batch)
-        enc_w_h, enc_bias = self.encoder.recurrent_weights(h.dtype)
-        dec_w_h, dec_bias = self.decoder.recurrent_weights(h.dtype)
         sizes = [num_nodes] * batch if lengths is None else lengths.tolist()
-        # Before step ``min(sizes)`` every row is still active, so the
-        # length masking has nothing to do.
-        all_active = min(sizes)
-        context_list: List[np.ndarray] = []
-        for t in range(num_nodes):
-            h_next, c_next = self.encoder.forward_from_projection(
-                enc_proj[:, t, :]
-                if enc_proj is not None
-                else emb[:, t, :] @ self.encoder.w_x.value,
-                h,
-                c,
-                enc_w_h,
-                enc_bias,
-            )
-            if t >= all_active:
-                active = (t < lengths)[:, None]
-                h_next = np.where(active, h_next, h)
-                c_next = np.where(active, c_next, c)
-            h, c = h_next, c_next
-            context_list.append(h)
-        contexts = np.stack(context_list, axis=1)  # [B, T, H]
-
-        # The context projections and the attention scratch buffers are
-        # built on the first step with an unforced row, so a decode whose
-        # every step is forced never pays for them.
-        glimpse_ref: Optional[np.ndarray] = None
-        pointer_ref: Optional[np.ndarray] = None
-        glimpse_scratch: Optional[np.ndarray] = None
-        pointer_scratch: Optional[np.ndarray] = None
-        dh, dc = h, c
-        # The first decoder input is the trainable d0 row, tiled *before*
-        # projecting: a 1-D ``d0 @ w_x`` takes a different BLAS path and
-        # is not bitwise-equal to the tiled 2-D product ``forward`` uses.
-        x_proj = np.tile(self.d0.value, (batch, 1)) @ self.decoder.w_x.value
         mask, ready, children, unmet = _ready_sets(precedence, sizes, num_nodes)
         log_prob = np.zeros(batch)
         actions_out = np.zeros((batch, num_nodes), dtype=int)
         rows = np.arange(batch)
+        # The network runs lazily (see the docstring): ``contexts`` stays
+        # None until the first step with a live row, and ``decoded``
+        # counts the decoder LSTM steps run so far.
+        contexts: Optional[np.ndarray] = None
+        decoded = 0
         for i in range(num_nodes):
-            dh, dc = self.decoder.forward_from_projection(
-                x_proj, dh, dc, dec_w_h, dec_bias
-            )
             # Forced rows (one ready node) take it with log-probability
             # exactly 0.0, finished rows their dummy position 0; only the
             # other rows run the attention heads (see the docstring).
@@ -519,12 +481,38 @@ class PointerNetworkPolicy(Module):
                 elif i < sizes[b]:
                     raise TrainingError(_stuck_message(b, i))
             if live:
-                if glimpse_ref is None:
+                if contexts is None:
+                    contexts, dh, dc, dec_proj = self._greedy_encode(emb, lengths)
+                    dec_w_h, dec_bias = self.decoder.recurrent_weights(dh.dtype)
                     glimpse_ref = self.glimpse.attention.precompute_ref(contexts)
                     pointer_ref = self.pointer.precompute_ref(contexts)
                     scratch_dtype = np.result_type(glimpse_ref, dh)
                     glimpse_scratch = np.zeros(glimpse_ref.shape, scratch_dtype)
                     pointer_scratch = np.zeros(pointer_ref.shape, scratch_dtype)
+                # Catch the decoder up to this step: each pending step
+                # reads the picks of the step before it.
+                for j in range(decoded, i + 1):
+                    if j == 0:
+                        # The first decoder input is the trainable d0
+                        # row, tiled *before* projecting: a 1-D
+                        # ``d0 @ w_x`` takes a different BLAS path and is
+                        # not bitwise-equal to the tiled 2-D product
+                        # ``forward`` uses.
+                        x_proj = (
+                            np.tile(self.d0.value, (batch, 1))
+                            @ self.decoder.w_x.value
+                        )
+                    elif dec_proj is not None:
+                        x_proj = dec_proj[rows, actions_out[:, j - 1], :]
+                    else:
+                        x_proj = (
+                            emb[rows, actions_out[:, j - 1], :]
+                            @ self.decoder.w_x.value
+                        )
+                    dh, dc = self.decoder.forward_from_projection(
+                        x_proj, dh, dc, dec_w_h, dec_bias
+                    )
+                decoded = i + 1
                 live_rows = np.array(live)
                 live_mask = mask[live_rows]
                 # Only the columns some live row can pick are scored.
@@ -571,12 +559,6 @@ class PointerNetworkPolicy(Module):
                         if not row_unmet[child]:
                             ready[b].append(child)
                             mask[b, child] = True
-            acts = np.array(picks)
-            x_proj = (
-                dec_proj[rows, acts, :]
-                if dec_proj is not None
-                else emb[rows, acts, :] @ self.decoder.w_x.value
-            )
         return PolicyRollout(
             actions=actions_out,
             log_prob=log_prob,
@@ -588,6 +570,55 @@ class PointerNetworkPolicy(Module):
             steps=[],
             lengths=lengths,
         )
+
+    def _greedy_encode(self, emb: np.ndarray, lengths: Optional[np.ndarray]):
+        """Encoder pass of :meth:`greedy_decode`.
+
+        Returns ``(contexts, h, c, dec_proj)``: the ``[B, T, H]`` context
+        matrix, the final encoder state that seeds the decoder, and the
+        hoisted decoder input projection (``None`` when ``batch == 1``).
+        With ``lengths``, a row's state freezes at its own final real
+        node, so the decoder is seeded by the same latent state a solo
+        unpadded encode would produce.
+        """
+        batch, num_nodes, hidden = emb.shape
+        # Hoisting is only bitwise-safe when the replaced per-step matmul
+        # and the large GEMM hit the same BLAS kernel; a one-row matmul
+        # ([1, H] @ [H, 4H]) can dispatch differently, so batch==1 keeps
+        # the per-step projections (there is nothing to amortize anyway).
+        enc_proj = None
+        dec_proj = None
+        if batch > 1:
+            flat = emb.reshape(batch * num_nodes, hidden)
+            enc_proj = (flat @ self.encoder.w_x.value).reshape(
+                batch, num_nodes, 4 * hidden
+            )
+            dec_proj = (flat @ self.decoder.w_x.value).reshape(
+                batch, num_nodes, 4 * hidden
+            )
+        h, c = self.encoder.initial_state(batch)
+        enc_w_h, enc_bias = self.encoder.recurrent_weights(h.dtype)
+        # Before step ``min(lengths)`` every row is still active, so the
+        # length masking has nothing to do.
+        all_active = num_nodes if lengths is None else int(lengths.min())
+        context_list: List[np.ndarray] = []
+        for t in range(num_nodes):
+            h_next, c_next = self.encoder.forward_from_projection(
+                enc_proj[:, t, :]
+                if enc_proj is not None
+                else emb[:, t, :] @ self.encoder.w_x.value,
+                h,
+                c,
+                enc_w_h,
+                enc_bias,
+            )
+            if t >= all_active:
+                active = (t < lengths)[:, None]
+                h_next = np.where(active, h_next, h)
+                c_next = np.where(active, c_next, c)
+            h, c = h_next, c_next
+            context_list.append(h)
+        return np.stack(context_list, axis=1), h, c, dec_proj
 
     # ------------------------------------------------------------------
     def backward(

@@ -43,10 +43,6 @@ class StageLatency:
     compute_seconds: float
     weight_stream_seconds: float
 
-    @property
-    def total_seconds(self) -> float:
-        return self.compute_seconds + self.weight_stream_seconds
-
 
 def profile_stage(
     graph: ComputationalGraph,

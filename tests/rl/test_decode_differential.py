@@ -15,6 +15,14 @@ The oracle runs on the same host and BLAS kernels as the code under
 test; there are no stored goldens, because decode floats depend on the
 BLAS kernel family.  CI runs this file a second time under
 ``OPENBLAS_CORETYPE=Haswell`` (the AVX2 kernels).
+
+The decode also runs its network lazily: steps where every row is
+forced read no network output, so the encoder and decoder LSTMs run
+only up to the last step with a choice.  ``TestLazyNetwork`` counts the
+LSTM steps and context projections a decode makes, and
+``TestLazyMatchesPreviousDecode`` holds the shapes that laziness
+changes most (one live step first or last, fully forced padded rows) to
+the previous decode's bytes.
 """
 
 from typing import List, Optional
@@ -27,6 +35,8 @@ from repro.errors import TrainingError
 from repro.graphs.sampler import sample_synthetic_dag
 from repro.models.zoo import FIG4_MODELS, build_model
 from repro.nn import functional as F
+from repro.nn.attention import AttentionHead
+from repro.nn.lstm import LSTMCell
 from repro.rl.ptrnet import PointerNetworkPolicy, PolicyRollout
 from repro.rl.respect import RespectScheduler
 from repro.tpu.quantize import quantize_graph
@@ -347,3 +357,139 @@ class TestMatchesPreviousDecode:
                 precedence[b, i, i - 1] = True
         got = assert_same_bytes(policy, features, precedence, lengths)
         assert got.log_prob[0] != 0.0  # row 0 really branched
+
+
+# ---------------------------------------------------------------------------
+# Lazy evaluation: the network runs only for the steps that read it.
+
+
+@pytest.fixture
+def network_calls(monkeypatch):
+    """Records every LSTM step (by cell) and context projection."""
+    calls = {"cells": [], "refs": 0}
+    lstm_step = LSTMCell.forward_from_projection
+    precompute_ref = AttentionHead.precompute_ref
+
+    def spy_step(cell, *args):
+        calls["cells"].append(cell)
+        return lstm_step(cell, *args)
+
+    def spy_ref(head, contexts):
+        calls["refs"] += 1
+        return precompute_ref(head, contexts)
+
+    monkeypatch.setattr(LSTMCell, "forward_from_projection", spy_step)
+    monkeypatch.setattr(AttentionHead, "precompute_ref", spy_ref)
+    return calls
+
+
+def lstm_steps(policy, calls):
+    """``(encoder steps, decoder steps)`` recorded by ``network_calls``."""
+    cells = calls["cells"]
+    return (
+        sum(cell is policy.encoder for cell in cells),
+        sum(cell is policy.decoder for cell in cells),
+    )
+
+
+def branch_at(batch, num_nodes, step):
+    """Precedence whose only step with two ready nodes is ``step``.
+
+    Nodes before ``step`` form a chain; nodes ``step`` and ``step + 1``
+    both follow it, node ``step + 2`` follows both, and the rest chain
+    on.  Step ``num_nodes - 2`` is the last step that can branch: the
+    final step always has a single node left.
+    """
+    assert 0 <= step <= num_nodes - 2
+    precedence = chain_precedence(batch, num_nodes)
+    precedence[:, step + 1, step] = False
+    if step:
+        precedence[:, step + 1, step - 1] = True
+    if step + 2 < num_nodes:
+        precedence[:, step + 2, step] = True
+    return precedence
+
+
+class TestLazyNetwork:
+    def test_chain_runs_no_lstm_step(self, scheduler, rng, network_calls):
+        policy = scheduler.inference_policy
+        features = rng.normal(size=(1, 40, policy.feature_dim))
+        got = policy.greedy_decode(features, chain_precedence(1, 40))
+        assert lstm_steps(policy, network_calls) == (0, 0)
+        assert network_calls["refs"] == 0
+        assert got.contexts is None
+        assert got.actions.tolist() == [list(range(40))]
+        assert got.log_prob.tolist() == [0.0]
+
+    def test_densenet121_runs_no_lstm_step(
+        self, scheduler, zoo_queues, network_calls
+    ):
+        policy = scheduler.inference_policy
+        queue = zoo_queues["DenseNet121"]
+        got = policy.greedy_decode(
+            queue.features[None, :, :], queue.precedence[None, :, :]
+        )
+        assert lstm_steps(policy, network_calls) == (0, 0)
+        assert network_calls["refs"] == 0
+        assert got.contexts is None
+
+    @pytest.mark.parametrize("step", [0, 4, 10])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_last_live_step_bounds_decoder_steps(
+        self, scheduler, rng, network_calls, batch, step
+    ):
+        policy = scheduler.inference_policy
+        num_nodes = 12
+        features = rng.normal(size=(batch, num_nodes, policy.feature_dim))
+        got = policy.greedy_decode(features, branch_at(batch, num_nodes, step))
+        assert lstm_steps(policy, network_calls) == (num_nodes, step + 1)
+        assert network_calls["refs"] == 2  # glimpse and pointer, once each
+        assert got.contexts.shape == (batch, num_nodes, policy.hidden_size)
+        assert (got.log_prob != 0.0).all()
+
+
+class TestLazyMatchesPreviousDecode:
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_only_live_step(self, scheduler, rng, batch, where):
+        num_nodes = 30
+        step = 0 if where == "first" else num_nodes - 2
+        policy = scheduler.inference_policy
+        features = rng.normal(size=(batch, num_nodes, policy.feature_dim))
+        got = assert_same_bytes(
+            policy, features, branch_at(batch, num_nodes, step)
+        )
+        assert (got.log_prob != 0.0).all()
+
+    @pytest.mark.parametrize("seed", [4, 5, 17])
+    def test_padded_batch_with_a_fully_forced_row(self, scheduler, seed):
+        # Row 0 becomes a chain over its own real nodes; the other rows
+        # keep their synthetic DAGs and branch.
+        features, precedence, lengths = serve_batch(scheduler, seed)
+        assert len(lengths) >= 3
+        precedence = precedence.copy()
+        precedence[0] = False
+        for i in range(1, lengths[0]):
+            precedence[0, i, i - 1] = True
+        got = assert_same_bytes(
+            scheduler.inference_policy, features, precedence, lengths
+        )
+        assert got.log_prob[0] == 0.0
+        assert (got.log_prob[1:] != 0.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_padded_chains_of_different_lengths(self, rng, dtype):
+        # Every step is forced, so no LSTM step runs at all.
+        policy = PointerNetworkPolicy(
+            feature_dim=4, hidden_size=6, logit_clip=5.0, seed=1
+        )
+        policy.cast(dtype)
+        lengths = np.array([8, 3, 5])
+        precedence = np.zeros((3, 8, 8), dtype=bool)
+        for b, size in enumerate(lengths):
+            for i in range(1, size):
+                precedence[b, i, i - 1] = True
+        got = assert_same_bytes(
+            policy, rng.normal(size=(3, 8, 4)), precedence, lengths
+        )
+        assert got.contexts is None
